@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from jspec.exactla import Matrix
 from jspec.lattice import Projection, projection_from_json, projection_to_json
@@ -25,6 +25,7 @@ from jspec.spectrum import (
 )
 from jspec.verify import (
     TrialConfig,
+    VerificationReport,
     check_det_automorphism,
     check_extension_consistency,
     check_map_morphism,
@@ -38,9 +39,6 @@ from jspec.verify import (
     find_spectrum_witness,
 )
 
-SUITES = ("pairs", "lemma41", "lemma31", "det-auto", "morphism",
-          "rank-join", "extension", "map-preserve", "rank-one-k")
-MAP_REQUIRED = ("rank-join", "extension", "map-preserve")
 DEFAULT_SEED = 1
 
 
@@ -149,59 +147,65 @@ def _cmd_map_apply(args) -> int:
     return 0
 
 
-def _default_k(suite: str, n: int) -> int:
-    if suite == "lemma41":
-        return n
-    if suite == "rank-join":
-        return n
-    if suite == "rank-one-k":
-        return n + 1
-    return 2
+class Suite(NamedTuple):
+    """One `verify --suite` choice."""
+
+    default_k: Callable[[int], int]  # tuple length for dimension n
+    maps: str  # whether --map is "none", "optional" or "required"
+    run: Callable[[TrialConfig, Optional[ProjectionMap]], VerificationReport]
+
+
+# The runners look the check functions up when called, so a caller that
+# rebinds a module name (a tracer, a test double) is seen here too.
+VERIFY_SUITES = {
+    "pairs": Suite(lambda n: 2, "none",
+                   lambda cfg, m: check_pair_equivalences(cfg)),
+    "lemma41": Suite(lambda n: n, "none",
+                     lambda cfg, m: check_rank_one_classification(cfg)),
+    "lemma31": Suite(lambda n: 2, "none",
+                     lambda cfg, m: check_two_projection_sum_identity(cfg)),
+    "det-auto": Suite(lambda n: 2, "none",
+                      lambda cfg, m: check_det_automorphism(cfg)),
+    "morphism": Suite(lambda n: 2, "optional",
+                      lambda cfg, m: check_map_morphism(cfg, m)),
+    "rank-join": Suite(lambda n: n, "required",
+                       lambda cfg, m: check_rank_join_preservation(m, cfg)),
+    "extension": Suite(lambda n: 2, "required",
+                       lambda cfg, m: check_extension_consistency(m, cfg)),
+    "map-preserve": Suite(lambda n: 2, "required",
+                          lambda cfg, m: check_map_preservation(m, cfg)),
+    "rank-one-k": Suite(
+        lambda n: n + 1, "required",
+        lambda cfg, m: check_rank_one_map_k_preservation(m, cfg)),
+}
+# rank-one-k with k < n: such tuples always have full spectrum, so the suite
+# checks that instead, with no map.
+_SHORT_RANK_ONE = VERIFY_SUITES["rank-one-k"]._replace(
+    maps="none", run=lambda cfg, m: check_small_rank_one_fullness(cfg))
 
 
 def _cmd_verify(args) -> int:
-    ctx = FieldContext(args.d)
-    k = args.k if args.k is not None else _default_k(args.suite, args.n)
+    suite, name = VERIFY_SUITES[args.suite], f"suite {args.suite}"
+    k = args.k if args.k is not None else suite.default_k(args.n)
     cfg = TrialConfig(n=args.n, k=k, trials=args.trials, seed=args.seed,
                       d=args.d)
-    m = None
-    if args.map is not None:
-        m = _load_map(args.map, ctx)
-    if args.suite in MAP_REQUIRED and m is None:
-        raise UsageError(f"suite {args.suite} needs --map")
-    if args.suite == "pairs":
-        report = check_pair_equivalences(cfg)
-    elif args.suite == "lemma41":
-        if cfg.k != cfg.n:
-            raise UsageError("suite lemma41 needs k = n")
-        report = check_rank_one_classification(cfg)
-    elif args.suite == "lemma31":
-        report = check_two_projection_sum_identity(cfg)
-    elif args.suite == "det-auto":
-        report = check_det_automorphism(cfg)
-    elif args.suite == "morphism":
-        report = check_map_morphism(cfg, m)
-    elif args.suite == "rank-join":
-        report = check_rank_join_preservation(m, cfg)
-    elif args.suite == "extension":
-        report = check_extension_consistency(m, cfg)
-    elif args.suite == "map-preserve":
-        report = check_map_preservation(m, cfg)
-    elif cfg.k < cfg.n:
-        if m is not None:
-            raise UsageError(
-                "suite rank-one-k with k < n checks fullness; drop --map")
-        report = check_small_rank_one_fullness(cfg)
-    else:
-        if m is None:
-            raise UsageError("suite rank-one-k with k >= n needs --map")
-        report = check_rank_one_map_k_preservation(m, cfg)
+    if args.suite == "rank-one-k":
+        name += " with k < n" if k < args.n else " with k >= n"
+        suite = _SHORT_RANK_ONE if k < args.n else suite
+    m = None if args.map is None else _load_map(args.map, cfg.ctx)
+    if suite.maps == "none" and m is not None:
+        raise UsageError(f"{name} takes no map; drop --map")
+    if suite.maps == "required" and m is None:
+        raise UsageError(f"{name} needs --map")
+    report = suite.run(cfg, m)
     print(report.render())
     _write_report(args.report, report.to_json())
     return 0 if report.passed else 1
 
 
 def _cmd_witness(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     ctx = FieldContext(args.d)
     rank_one_only = args.kind == "flip-rank-one"
     n = args.n
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_map_apply)
 
     sub = subs.add_parser("verify", help="run one seeded check suite")
-    sub.add_argument("--suite", required=True, choices=SUITES)
+    sub.add_argument("--suite", required=True, choices=tuple(VERIFY_SUITES))
     sub.add_argument("--n", type=int, default=3, help="dimension (default 3)")
     sub.add_argument("--k", type=int, default=None,
                      help="tuple length (suite-dependent default)")

@@ -207,14 +207,6 @@ class Matrix:
         return Matrix([[self.rows[i][j].conj() for i in range(self.nrows)]
                        for j in range(self.ncols)], self.ctx, ncols=self.nrows)
 
-    def is_hermitian(self) -> bool:
-        return self.is_square and self == self.conj_transpose()
-
-    def trace(self) -> FieldElem:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), self.ctx.zero)
-
     # -- elimination -----------------------------------------------------------
 
     def det(self) -> FieldElem:

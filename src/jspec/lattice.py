@@ -64,9 +64,6 @@ class Projection:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.n, self.ctx)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Projection):
             return NotImplemented

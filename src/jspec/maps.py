@@ -176,7 +176,7 @@ def rank_one_image(m: ProjectionMap, v: Sequence[Scalarish]) -> Projection:
 # -- classification -----------------------------------------------------------------
 
 
-def _gram_is_scalar(b: Matrix) -> bool:
+def gram_is_scalar(b: Matrix) -> bool:
     gram = b.conj_transpose() * b
     t = gram[0, 0]
     return gram == Matrix.diag([t] * b.nrows, b.ctx)
@@ -195,9 +195,9 @@ def classify_map(m: ProjectionMap) -> MapForm:
     if isinstance(m, AntiUnitaryConjMap):
         return MapForm.ANTI_UNITARY_FORM
     if isinstance(m, InducedMap):
-        if m.f is Automorphism.ID and _gram_is_scalar(m.b):
+        if m.f is Automorphism.ID and gram_is_scalar(m.b):
             return MapForm.UNITARY_FORM
-        if m.f is Automorphism.CONJ and _gram_is_scalar(m.b):
+        if m.f is Automorphism.CONJ and gram_is_scalar(m.b):
             return MapForm.ANTI_UNITARY_FORM
         return MapForm.WILD_PAIR_PRESERVING
     raise TypeError(f"unknown map type {type(m).__name__}")
@@ -212,7 +212,7 @@ def preserves_orthogonality(m: ProjectionMap) -> bool:
     if isinstance(m, (UnitaryConjMap, AntiUnitaryConjMap)):
         return True
     if isinstance(m, InducedMap):
-        return _gram_is_scalar(m.b)
+        return gram_is_scalar(m.b)
     raise TypeError(f"unknown map type {type(m).__name__}")
 
 

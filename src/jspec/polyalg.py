@@ -417,28 +417,29 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The product of the distinct irreducible factors of p, canonicalized.
 
-    Characteristic-zero recipe: divide p by the GCD of p with its nonzero
-    partial derivatives, repeating until nothing changes.
+    Characteristic-zero recipe: p / gcd(p, d1 p, ..., dk p) over the nonzero
+    partial derivatives, in one round.  Write p = c * f1^e1 * ... * fr^er
+    with distinct irreducible fi.  Each fi^(ei-1) divides p and every dj p.
+    Take j with dj fi != 0 (fi is not constant); then
+    dj p = ei * (dj fi) * fi^(ei-1) * (the rest) + fi^ei * (...), and fi
+    divides neither ei * dj fi (lower degree in cj, and ei != 0 in
+    characteristic 0) nor the other factors, so fi^ei does not divide dj p.
+    Hence the gcd is f1^(e1-1) * ... * fr^(er-1) up to a unit, and the
+    quotient f1 * ... * fr is already squarefree.
     """
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
-    cur = canonicalize(p)
-    while True:
-        if cur.is_constant():
-            return cur
-        g = cur
-        for j in range(cur.nvars):
-            pd = cur.partial_derivative(j)
-            if not pd.is_zero():
-                g = gcd(g, pd)
-            if g.is_constant():
-                break
+    p = canonicalize(p)
+    g = p
+    for j in range(p.nvars):
         if g.is_constant():
-            return cur
-        nxt = canonicalize(_must_divide(g, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+            return p
+        pd = p.partial_derivative(j)
+        if not pd.is_zero():
+            g = gcd(g, pd)
+    if g.is_constant():
+        return p
+    return canonicalize(_must_divide(g, p))
 
 
 def canonicalize(p: MultiPoly) -> MultiPoly:

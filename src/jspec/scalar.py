@@ -26,6 +26,11 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# Largest accepted d: squarefreeness is checked by trial division up to
+# sqrt(d), about 32k steps at this bound.
+MAX_D = 10**9
+
+
 def _is_squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -45,6 +50,8 @@ class FieldContext:
     __slots__ = ("d",)
 
     def __init__(self, d: int = 2):
+        if d > MAX_D:
+            raise ValueError(f"d must be at most {MAX_D}, got {d}")
         if d < 2 or not _is_squarefree(d):
             raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
         self.d = d
@@ -129,9 +136,6 @@ class FieldElem:
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.e)
-
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.e)
 
     def is_real(self) -> bool:
         return not (self.c or self.e)

@@ -15,6 +15,7 @@ draws so that known phenomena are found without luck.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from jspec.maps import (
     apply_map,
     extend_join,
     extend_sum,
+    gram_is_scalar,
     map_to_json,
     make_induced,
     make_unitary_conj,
@@ -202,11 +204,6 @@ def random_invertible(cfg: TrialConfig, rng: random.Random,
             return m
 
 
-def _gram_is_scalar(b: Matrix) -> bool:
-    gram = b.conj_transpose() * b
-    return gram == Matrix.diag([gram[0, 0]] * b.nrows, b.ctx)
-
-
 def random_non_unitary_invertible(cfg: TrialConfig,
                                   rng: random.Random) -> Matrix:
     """Invertible B whose gram B*B is not scalar.
@@ -216,8 +213,29 @@ def random_non_unitary_invertible(cfg: TrialConfig,
     """
     while True:
         m = random_invertible(cfg, rng)
-        if not _gram_is_scalar(m):
+        if not gram_is_scalar(m):
             return m
+
+
+def _random_tuple(cfg: TrialConfig, rng: random.Random,
+                  rank_one_only: bool) -> list[Projection]:
+    """k rank-one projections, or k projections of ranks drawn in 1..n-1."""
+    if rank_one_only:
+        return [rank_one(random_vector(cfg, rng), cfg.ctx)
+                for _ in range(cfg.k)]
+    return [random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
+            for _ in range(cfg.k)]
+
+
+def _collinear(cfg: TrialConfig, rng: random.Random, base: list[FieldElem],
+               count: int) -> list[list[FieldElem]]:
+    """count nonzero pool multiples of base."""
+    vectors = []
+    while len(vectors) < count:
+        s = rng.choice(cfg.entry_pool)
+        if s:
+            vectors.append([s * x for x in base])
+    return vectors
 
 
 def random_map(cfg: TrialConfig, rng: random.Random) -> ProjectionMap:
@@ -362,29 +380,42 @@ def _try_witness(m: ProjectionMap,
 # -- suites ---------------------------------------------------------------------------
 
 
+def _run_trials(suite: str, cfg: TrialConfig, trial,
+                counters: Optional[dict] = None,
+                m: Optional[ProjectionMap] = None) -> VerificationReport:
+    """Run cfg.trials seeded trials and collect their violations.
+
+    trial(index, rng) yields one (message, data) pair per violation it
+    finds; it may update counters, which the report embeds afterwards.
+    """
+    violations = []
+    for index in range(cfg.trials):
+        for message, data in trial(index, trial_rng(cfg.seed, index)):
+            violations.append(Violation(index, trial_seed(cfg.seed, index),
+                                        message, data))
+    return VerificationReport(suite, cfg, cfg.trials, violations, counters,
+                              m=m)
+
+
 def check_pair_equivalences(cfg: TrialConfig) -> VerificationReport:
     """Pair facts: join full iff (1,1) outside, plus meet-zero iff (1,-1) out.
 
     Every tenth trial uses the degenerate pair P = Q.
     """
-    violations = []
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
+    def trial(index, rng):
         p = random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
         if index % 10 == 9:
             q = p
         else:
             q = random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
         facts = pair_facts(p, q)
-        ok = (facts.join_full == facts.point11_out and
-              (facts.join_full and facts.meet_zero) == facts.point1m1_out)
-        if not ok:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index),
-                "pair lattice facts disagree with spectrum membership",
-                {"p": projection_to_json(p), "q": projection_to_json(q),
-                 "facts": facts.as_dict()}))
-    return VerificationReport("pairs", cfg, cfg.trials, violations)
+        if (facts.join_full != facts.point11_out or
+                (facts.join_full and facts.meet_zero) != facts.point1m1_out):
+            yield ("pair lattice facts disagree with spectrum membership",
+                   {"p": projection_to_json(p), "q": projection_to_json(q),
+                    "facts": facts.as_dict()})
+
+    return _run_trials("pairs", cfg, trial)
 
 
 def check_rank_one_classification(cfg: TrialConfig) -> VerificationReport:
@@ -395,18 +426,13 @@ def check_rank_one_classification(cfg: TrialConfig) -> VerificationReport:
     """
     if cfg.k != cfg.n:
         raise ValueError("rank-one classification needs k = n")
-    violations = []
     counters = {"full": 0, "coordinate-hyperplanes": 0}
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
+
+    def trial(index, rng):
         forced = index % 10 == 9
         if forced and cfg.n == 2:
             base = random_vector(cfg, rng)
-            vectors = [base]
-            while len(vectors) < 2:
-                s = rng.choice(cfg.entry_pool)
-                if s:
-                    vectors.append([s * x for x in base])
+            vectors = [base] + _collinear(cfg, rng, base, 1)
         elif forced:
             vectors = []
             while len(vectors) < cfg.n:
@@ -420,38 +446,30 @@ def check_rank_one_classification(cfg: TrialConfig) -> VerificationReport:
         try:
             cls = classify_rank_one_tuple(projs)
         except RuntimeError as err:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index), str(err),
-                {"tuple": tuple_to_json(projs)}))
-            continue
+            yield str(err), {"tuple": tuple_to_json(projs)}
+            return
         counters[cls.value] += 1
         if forced and cls is not RankOneClass.FULL:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index),
-                "non-spanning tuple did not classify as full",
-                {"tuple": tuple_to_json(projs)}))
-    return VerificationReport("rank-one-classification", cfg, cfg.trials,
-                              violations, counters)
+            yield ("non-spanning tuple did not classify as full",
+                   {"tuple": tuple_to_json(projs)})
+
+    return _run_trials("rank-one-classification", cfg, trial, counters)
 
 
 def check_det_automorphism(cfg: TrialConfig) -> VerificationReport:
     """Entrywise field automorphisms commute with det and preserve rank."""
-    violations = []
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
-        size = rng.randint(1, cfg.n)
-        mat = _random_square(cfg, size, rng)
+    def trial(index, rng):
+        mat = _random_square(cfg, rng.randint(1, cfg.n), rng)
         det = mat.det()
         rk = mat.rank()
         for f in ALL_AUTOMORPHISMS:
             fm = automorphism_entrywise(f, mat)
             if fm.det() != f(det) or fm.rank() != rk:
-                violations.append(Violation(
-                    index, trial_seed(cfg.seed, index),
-                    f"automorphism {f.value} broke det or rank",
-                    {"matrix": matrix_to_json(mat),
-                     "automorphism": f.value}))
-    return VerificationReport("det-automorphism", cfg, cfg.trials, violations)
+                yield (f"automorphism {f.value} broke det or rank",
+                       {"matrix": matrix_to_json(mat),
+                        "automorphism": f.value})
+
+    return _run_trials("det-automorphism", cfg, trial)
 
 
 def check_map_morphism(cfg: TrialConfig,
@@ -462,9 +480,10 @@ def check_map_morphism(cfg: TrialConfig,
     fixed points I and 0.  Draws a fresh random map per trial unless one is
     supplied; ranks run over the full 0..n so the extremes are exercised.
     """
-    violations = []
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
+    identity = identity_projection(cfg.n, cfg.ctx)
+    zero = zero_projection(cfg.n, cfg.ctx)
+
+    def trial(index, rng):
         mm = m if m is not None else random_map(cfg, rng)
         p = random_projection(cfg, rng.randint(0, cfg.n), rng)
         q = random_projection(cfg, rng.randint(0, cfg.n), rng)
@@ -478,18 +497,16 @@ def check_map_morphism(cfg: TrialConfig,
             problems.append("meet not preserved")
         if p.leq(q) != fp.leq(fq):
             problems.append("order not preserved")
-        if apply_map(mm, identity_projection(cfg.n, cfg.ctx)) != \
-                identity_projection(cfg.n, cfg.ctx):
+        if apply_map(mm, identity) != identity:
             problems.append("identity moved")
-        if apply_map(mm, zero_projection(cfg.n, cfg.ctx)) != \
-                zero_projection(cfg.n, cfg.ctx):
+        if apply_map(mm, zero) != zero:
             problems.append("zero moved")
         if problems:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index), "; ".join(problems),
-                {"map": map_to_json(mm), "p": projection_to_json(p),
-                 "q": projection_to_json(q)}))
-    return VerificationReport("map-morphism", cfg, cfg.trials, violations, m=m)
+            yield ("; ".join(problems),
+                   {"map": map_to_json(mm), "p": projection_to_json(p),
+                    "q": projection_to_json(q)})
+
+    return _run_trials("map-morphism", cfg, trial, m=m)
 
 
 def check_map_preservation(m: ProjectionMap,
@@ -501,27 +518,22 @@ def check_map_preservation(m: ProjectionMap,
     """
     if cfg.k < 2:
         raise ValueError("needs tuples of length at least 2")
-    violations = []
     counters = {"preserved": 0, "shrunk-strictly": 0, "incomparable": 0}
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
-        projs = [random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
-                 for _ in range(cfg.k)]
-        witness = _try_witness(m, projs)
+
+    def trial(index, rng):
+        witness = _try_witness(m, _random_tuple(cfg, rng, rank_one_only=False))
         if witness is None:
             counters["preserved"] += 1
-            continue
+            return
         if zero_set_subset(witness.image, witness.original):
             bucket = "shrunk-strictly"
         else:
             bucket = "incomparable"
         counters[bucket] += 1
-        violations.append(Violation(
-            index, trial_seed(cfg.seed, index),
-            f"zero set not preserved ({bucket})",
-            {"witness": witness.to_json()}))
-    return VerificationReport("map-preservation", cfg, cfg.trials,
-                              violations, counters, m=m)
+        yield (f"zero set not preserved ({bucket})",
+               {"witness": witness.to_json()})
+
+    return _run_trials("map-preservation", cfg, trial, counters, m)
 
 
 def check_two_projection_sum_identity(cfg: TrialConfig) -> VerificationReport:
@@ -594,33 +606,20 @@ def check_rank_join_preservation(m: ProjectionMap,
 
     Every tenth trial draws a collinear tuple, pinning the rank to one.
     """
-    violations = []
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
+    def trial(index, rng):
         if index % 10 == 9:
-            base = random_vector(cfg, rng)
-            vectors = []
-            while len(vectors) < cfg.k:
-                s = rng.choice(cfg.entry_pool)
-                if s:
-                    vectors.append([s * x for x in base])
+            vectors = _collinear(cfg, rng, random_vector(cfg, rng), cfg.k)
         else:
             vectors = [random_vector(cfg, rng) for _ in range(cfg.k)]
         projs = [rank_one(v, cfg.ctx) for v in vectors]
-        join = projs[0]
-        for p in projs[1:]:
-            join = join.join(p)
-        images = [rank_one_image(m, v) for v in vectors]
-        image_join = images[0]
-        for p in images[1:]:
-            image_join = image_join.join(p)
+        join = functools.reduce(Projection.join, projs)
+        image_join = functools.reduce(
+            Projection.join, [rank_one_image(m, v) for v in vectors])
         if image_join.rank != join.rank:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index),
-                f"join rank changed from {join.rank} to {image_join.rank}",
-                {"tuple": tuple_to_json(projs), "map": map_to_json(m)}))
-    return VerificationReport("rank-join-preservation", cfg, cfg.trials,
-                              violations, m=m)
+            yield (f"join rank changed from {join.rank} to {image_join.rank}",
+                   {"tuple": tuple_to_json(projs), "map": map_to_json(m)})
+
+    return _run_trials("rank-join-preservation", cfg, trial, m=m)
 
 
 def check_extension_consistency(m: ProjectionMap,
@@ -633,10 +632,9 @@ def check_extension_consistency(m: ProjectionMap,
     always be defined for orthogonality-preserving maps.  Every tenth trial
     uses P = I.
     """
-    violations = []
     counters = {"sum-agreed": 0, "sum-undefined": 0}
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
+
+    def trial(index, rng):
         rank = cfg.n if index % 10 == 9 else rng.randint(1, cfg.n - 1)
         p = random_projection(cfg, rank, rng)
         expected = apply_map(m, p)
@@ -663,11 +661,10 @@ def check_extension_consistency(m: ProjectionMap,
                 problems.append(
                     "sum undefined for an orthogonality-preserving map")
         if problems:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index), "; ".join(problems),
-                {"p": projection_to_json(p), "map": map_to_json(m)}))
-    return VerificationReport("extension-consistency", cfg, cfg.trials,
-                              violations, counters, m=m)
+            yield ("; ".join(problems),
+                   {"p": projection_to_json(p), "map": map_to_json(m)})
+
+    return _run_trials("extension-consistency", cfg, trial, counters, m)
 
 
 def check_rank_one_map_k_preservation(m: ProjectionMap,
@@ -676,42 +673,33 @@ def check_rank_one_map_k_preservation(m: ProjectionMap,
     if cfg.k < cfg.n:
         raise ValueError("needs k >= n; shorter rank-one tuples are "
                          "always full")
-    violations = []
     counters = {"preserved": 0}
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
-        vectors = [random_vector(cfg, rng) for _ in range(cfg.k)]
-        projs = [rank_one(v, cfg.ctx) for v in vectors]
-        witness = _try_witness(m, projs)
+
+    def trial(index, rng):
+        witness = _try_witness(m, _random_tuple(cfg, rng, rank_one_only=True))
         if witness is None:
             counters["preserved"] += 1
         else:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index),
-                "rank-one tuple zero set not preserved",
-                {"witness": witness.to_json()}))
-    return VerificationReport("rank-one-k-preservation", cfg, cfg.trials,
-                              violations, counters, m=m)
+            yield ("rank-one tuple zero set not preserved",
+                   {"witness": witness.to_json()})
+
+    return _run_trials("rank-one-k-preservation", cfg, trial, counters, m)
 
 
 def check_small_rank_one_fullness(cfg: TrialConfig) -> VerificationReport:
     """Fewer than n rank-one projections always have full spectrum."""
     if cfg.k >= cfg.n:
         raise ValueError("needs k < n")
-    violations = []
-    for index in range(cfg.trials):
-        rng = trial_rng(cfg.seed, index)
-        projs = [rank_one(random_vector(cfg, rng), cfg.ctx)
-                 for _ in range(cfg.k)]
+
+    def trial(index, rng):
+        projs = _random_tuple(cfg, rng, rank_one_only=True)
         spectrum = pencil_poly(projs)
         if not spectrum.is_full():
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index),
-                "short rank-one tuple with nonvanishing pencil",
-                {"tuple": tuple_to_json(projs),
-                 "pencil": format_poly(spectrum.pencil)}))
-    return VerificationReport("small-rank-one-fullness", cfg, cfg.trials,
-                              violations)
+            yield ("short rank-one tuple with nonvanishing pencil",
+                   {"tuple": tuple_to_json(projs),
+                    "pencil": format_poly(spectrum.pencil)})
+
+    return _run_trials("small-rank-one-fullness", cfg, trial)
 
 
 # -- witness search ----------------------------------------------------------------
@@ -792,13 +780,7 @@ def find_spectrum_witness(m: ProjectionMap, cfg: TrialConfig, budget: int,
         if witness is not None:
             return witness
     for index in range(budget):
-        rng = trial_rng(cfg.seed, index)
-        if rank_one_only:
-            projs = [rank_one(random_vector(cfg, rng), cfg.ctx)
-                     for _ in range(cfg.k)]
-        else:
-            projs = [random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
-                     for _ in range(cfg.k)]
+        projs = _random_tuple(cfg, trial_rng(cfg.seed, index), rank_one_only)
         witness = _try_witness(m, projs)
         if witness is not None:
             return witness

@@ -1,6 +1,7 @@
 """Command-line behavior: output text, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -195,6 +196,17 @@ def test_verify_rank_one_k_dispatch(tmp_path, capsys):
     assert code == 2 and "needs --map" in err
 
 
+@pytest.mark.parametrize("suite", ["pairs", "lemma41", "lemma31",
+                                   "det-auto"])
+def test_verify_rejects_a_map_the_suite_ignores(suite, tmp_path, capsys):
+    mf = write(tmp_path / "m.json",
+               {"kind": "induced", "f": "flip",
+                "B": matrix_to_json(Matrix.identity(3, K))})
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--n", "3",
+                                  "--trials", "1", "--map", mf])
+    assert code == 2 and "drop --map" in err and out == ""
+
+
 def test_witness_flip_found_and_expect_flag(tmp_path, capsys):
     argv = ["witness", "--kind", "flip-triple", "--budget", "10",
             "--report", str(tmp_path / "w.json")]
@@ -217,6 +229,20 @@ def test_witness_absent_for_unitary_override(tmp_path, capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out.strip() == "no witness within budget 5"
+
+
+def test_witness_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, ["witness", "--kind", "flip-triple",
+                                  "--budget", "-5", "--expect", "absent"])
+    assert code == 2 and "--budget" in err and out == ""
+
+
+def test_huge_d_fails_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["poly", "--tuple", basis_tuple_file(tmp_path),
+                                "--d", "1000000000000000003"])
+    assert code == 2 and "at most" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_d_mismatch_is_an_input_error(tmp_path, capsys):

@@ -1,0 +1,159 @@
+"""Golden CLI reports: fixed argv lists replayed through `jspec.cli.main`.
+
+Each case in data/verify_golden.json records the exit code, stdout and the
+`--report` JSON text of one `verify` or `witness` call, so a refactor of the
+suites or the CLI is checked byte for byte against recorded output rather
+than only against a second run of itself.  Map files are kept in the same
+JSON file under "maps" and written to a temporary directory; an argv entry
+"@name" stands for the path of map "name", and "@report" for the report
+path.
+
+Re-record (only when a report change is intended):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from jspec.cli import main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "verify_golden.json")
+
+# Every case also writes a report; see replay().
+ARGVS = [
+    ["verify", "--suite", "pairs", "--n", "3", "--trials", "10"],
+    ["verify", "--suite", "pairs", "--n", "4", "--trials", "10",
+     "--seed", "5"],
+    ["verify", "--suite", "pairs", "--n", "3", "--trials", "10", "--d", "3"],
+    ["verify", "--suite", "lemma41", "--n", "3", "--trials", "10"],
+    ["verify", "--suite", "lemma41", "--n", "2", "--trials", "10",
+     "--seed", "4"],
+    ["verify", "--suite", "lemma31", "--n", "3", "--trials", "10"],
+    ["verify", "--suite", "lemma31", "--n", "4", "--trials", "10",
+     "--seed", "9"],
+    ["verify", "--suite", "det-auto", "--n", "3", "--trials", "10"],
+    ["verify", "--suite", "det-auto", "--n", "4", "--trials", "5", "--d", "5"],
+    ["verify", "--suite", "morphism", "--n", "3", "--trials", "10"],
+    ["verify", "--suite", "morphism", "--n", "3", "--trials", "5",
+     "--map", "@flip3"],
+    ["verify", "--suite", "morphism", "--n", "3", "--trials", "5",
+     "--map", "@wild3"],
+    ["verify", "--suite", "rank-join", "--n", "3", "--trials", "10",
+     "--map", "@flip3"],
+    ["verify", "--suite", "rank-join", "--n", "3", "--k", "2",
+     "--trials", "10", "--map", "@wild3"],
+    ["verify", "--suite", "extension", "--n", "3", "--trials", "10",
+     "--map", "@flip3"],
+    ["verify", "--suite", "extension", "--n", "3", "--trials", "10",
+     "--map", "@wild3"],
+    ["verify", "--suite", "map-preserve", "--n", "3", "--trials", "10",
+     "--map", "@flip3"],
+    ["verify", "--suite", "map-preserve", "--n", "3", "--k", "3",
+     "--trials", "10", "--map", "@flip3"],
+    ["verify", "--suite", "map-preserve", "--n", "3", "--k", "3",
+     "--trials", "5", "--map", "@unitary3"],
+    ["verify", "--suite", "rank-one-k", "--n", "4", "--k", "2",
+     "--trials", "10"],
+    ["verify", "--suite", "rank-one-k", "--n", "3", "--trials", "5",
+     "--map", "@flip3"],
+    ["verify", "--suite", "rank-one-k", "--n", "3", "--k", "3",
+     "--trials", "5", "--map", "@unitary3"],
+    ["verify", "--suite", "lemma31", "--n", "3", "--trials", "10", "--d", "7"],
+    ["verify", "--suite", "rank-one-k", "--n", "5", "--k", "3",
+     "--trials", "5"],
+    ["verify", "--suite", "map-preserve", "--n", "3", "--k", "4",
+     "--trials", "3", "--map", "@flip3"],
+    ["verify", "--suite", "lemma41", "--n", "3", "--k", "2"],
+    ["verify", "--suite", "map-preserve", "--n", "3"],
+    ["verify", "--suite", "rank-one-k", "--n", "3", "--k", "4",
+     "--trials", "5"],
+    ["verify", "--suite", "rank-one-k", "--n", "4", "--k", "2",
+     "--map", "@flip3"],
+    ["witness", "--kind", "flip-triple", "--budget", "10"],
+    ["witness", "--kind", "flip-triple", "--budget", "10", "--n", "4",
+     "--seed", "3"],
+    ["witness", "--kind", "flip-rank-one", "--budget", "10"],
+    ["witness", "--kind", "flip-rank-one", "--budget", "5",
+     "--map", "@unitary3", "--expect", "absent"],
+    ["witness", "--kind", "flip-triple", "--budget", "3",
+     "--map", "@unitary3"],
+]
+
+
+def _maps() -> dict:
+    from jspec.exactla import Matrix
+    from jspec.maps import make_induced, make_unitary_conj, map_to_json
+    from jspec.scalar import Automorphism, FieldContext
+
+    k = FieldContext(2)
+    one, zero = k.one, k.zero
+    wild = Matrix([[one, one, zero], [zero, one, zero], [zero, zero, k.i]], k)
+    return {
+        "flip3": map_to_json(make_induced(Automorphism.FLIP,
+                                          Matrix.identity(3, k))),
+        "wild3": map_to_json(make_induced(Automorphism.ID, wild)),
+        "unitary3": map_to_json(make_unitary_conj(Matrix.identity(3, k))),
+    }
+
+
+def replay(argv: list, maps: dict, tmp: str) -> dict:
+    """Run one case; returns its exit code, stdout and report text."""
+    paths = {"report": os.path.join(tmp, "report.json")}
+    for name, payload in maps.items():
+        paths[name] = os.path.join(tmp, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+    if os.path.exists(paths["report"]):
+        os.remove(paths["report"])
+    full = [paths[a[1:]] if a.startswith("@") else a
+            for a in argv + ["--report", "@report"]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(full)
+    report = None
+    if os.path.exists(paths["report"]):
+        with open(paths["report"], encoding="utf-8") as handle:
+            report = handle.read()
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "report": report}
+
+
+def _load() -> dict:
+    with open(DATA, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+GOLDEN = _load() if os.path.exists(DATA) else {"maps": {}, "cases": []}
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=lambda c: " ".join(c["argv"]))
+def test_cli_report_matches_golden(case, tmp_path):
+    got = replay(case["argv"], GOLDEN["maps"], str(tmp_path))
+    assert got["exit"] == case["exit"]
+    assert got["stdout"] == case["stdout"]
+    assert got["report"] == case["report"]
+
+
+def test_golden_covers_every_case():
+    assert [c["argv"] for c in GOLDEN["cases"]] == ARGVS
+
+
+if __name__ == "__main__":
+    maps = _maps()
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = [replay(argv, maps, tmp) for argv in ARGVS]
+    with open(DATA, "w", encoding="utf-8") as handle:
+        json.dump({"maps": maps, "cases": cases}, handle, indent=1,
+                  sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(cases)} cases to {DATA}", file=sys.stderr)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from jspec.scalar import (
     ALL_AUTOMORPHISMS,
     Automorphism,
+    MAX_D,
     FieldContext,
     ParseError,
     format_scalar,
@@ -107,10 +108,10 @@ def test_mixed_int_and_fraction_operands():
 
 
 def test_context_rejects_non_squarefree_d():
-    for bad in (1, 0, -2, 4, 12, 18):
+    for bad in (1, 0, -2, 4, 12, 18, MAX_D + 1, 1000000000000000003):
         with pytest.raises(ValueError):
             FieldContext(bad)
-    for good in (2, 3, 5, 6, 7, 10):
+    for good in (2, 3, 5, 6, 7, 10, 999999937):  # the largest prime <= MAX_D
         assert FieldContext(good).d == good
 
 
