@@ -400,10 +400,13 @@ def projection_onto(a: Matrix) -> Matrix:
     """
     if a.ncols == 0:
         return Matrix.zeros(a.nrows, a.nrows, a.ctx)
-    if a.rank() != a.ncols:
-        raise ValueError("columns are dependent")
     gram = a.conj_transpose() * a
-    return a * gram.inverse() * a.conj_transpose()
+    try:
+        gram_inv = gram.inverse()
+    except ValueError:
+        # a*a is positive definite exactly when the columns are independent
+        raise ValueError("columns are dependent") from None
+    return a * gram_inv * a.conj_transpose()
 
 
 def gram_schmidt(a: Matrix) -> Matrix:

@@ -2,16 +2,19 @@
 
 Every quantity in this package is a K-scalar: a + b*sqrt(d) + (c + e*sqrt(d))*i
 with rational components and a fixed squarefree d >= 2 (default 2).  The four
-components are kept as `fractions.Fraction`, so equality is exact and
-componentwise.  K carries exactly four field automorphisms commuting with
-complex conjugation: identity, complex conjugation (i -> -i), the real flip
-(sqrt(d) -> -sqrt(d)), and their composition.
+components are kept as integer numerators over one positive common
+denominator, reduced by their joint gcd, so arithmetic runs on Python ints
+and equality is exact and componentwise.  K carries exactly four field
+automorphisms commuting with complex conjugation: identity, complex
+conjugation (i -> -i), the real flip (sqrt(d) -> -sqrt(d)), and their
+composition.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -67,7 +70,12 @@ class FieldContext:
 
     def elem(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, e: Rat = 0) -> FieldElem:
         """The element a + b*sqrt(d) + (c + e*sqrt(d))*i."""
-        return FieldElem(Fraction(a), Fraction(b), Fraction(c), Fraction(e), self)
+        if not (b or c or e):
+            if type(a) is int:
+                return _canonical(a, 0, 0, 0, 1, self)
+            if type(a) is Fraction:
+                return _canonical(a.numerator, 0, 0, 0, a.denominator, self)
+        return FieldElem(a, b, c, e, self)
 
     @property
     def zero(self) -> FieldElem:
@@ -92,19 +100,25 @@ class FieldContext:
 class FieldElem:
     """An element of K = Q(i, sqrt(d)), immutable, with exact operator arithmetic.
 
-    Canonical representation: four independently normalized rationals, so
-    equality and hashing are componentwise.  Supports mixing with int and
-    Fraction on either side.
+    Stored as five ints: x = (A + B*sqrt(d) + (C + E*sqrt(d))*i) / D with
+    D > 0 and gcd(A, B, C, E, D) = 1, so zero has D = 1.  The form is
+    canonical, so equality is a field-by-field compare; a rational element
+    hashes like the equal `Fraction`.  The components a, b, c, e are read as
+    `Fraction`s.  Supports mixing with int and Fraction on either side.
     """
 
-    __slots__ = ("a", "b", "c", "e", "ctx")
+    __slots__ = ("_a", "_b", "_c", "_e", "_den", "ctx")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction, e: Fraction,
-                 ctx: FieldContext):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.e = e
+    def __init__(self, a: Rat, b: Rat, c: Rat, e: Rat, ctx: FieldContext):
+        parts = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                 for x in (a, b, c, e)]
+        # Canonical as built: for each prime p of den, the part whose reduced
+        # denominator holds p's full power gets a numerator and multiplier
+        # prime to p.
+        den = lcm(*(x.denominator for x in parts))
+        self._a, self._b, self._c, self._e = (
+            x.numerator * (den // x.denominator) for x in parts)
+        self._den = den
         self.ctx = ctx
 
     # -- basic structure ---------------------------------------------------
@@ -112,6 +126,22 @@ class FieldElem:
     @property
     def d(self) -> int:
         return self.ctx.d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._c, self._den)
+
+    @property
+    def e(self) -> Fraction:
+        return Fraction(self._e, self._den)
 
     def _coerce(self, other: object) -> "FieldElem | None":
         if isinstance(other, FieldElem):
@@ -127,18 +157,21 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.e) == (o.a, o.b, o.c, o.e)
+        return (self._a == o._a and self._b == o._b and self._c == o._c
+                and self._e == o._e and self._den == o._den)
 
     def __hash__(self) -> int:
-        if not self.b and not self.c and not self.e:
-            return hash(self.a)
+        if not (self._b or self._c or self._e):
+            if self._den == 1:
+                return hash(self._a)
+            return hash(Fraction(self._a, self._den))
         return hash((self.a, self.b, self.c, self.e, self.ctx.d))
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.e)
+        return bool(self._a or self._b or self._c or self._e)
 
     def is_real(self) -> bool:
-        return not (self.c or self.e)
+        return not (self._c or self._e)
 
     # -- ring operations ---------------------------------------------------
 
@@ -146,66 +179,80 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.a + o.a, self.b + o.b, self.c + o.c,
-                         self.e + o.e, self.ctx)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return _reduced(self._a + o._a, self._b + o._b, self._c + o._c,
+                            self._e + o._e, d1, self.ctx)
+        return _reduced(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1,
+                        self._c * d2 + o._c * d1, self._e * d2 + o._e * d1,
+                        d1 * d2, self.ctx)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.a, -self.b, -self.c, -self.e, self.ctx)
+        return _canonical(-self._a, -self._b, -self._c, -self._e, self._den,
+                          self.ctx)
 
     def __sub__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _difference(self, o)
 
     def __rsub__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _difference(o, self)
 
     def __mul__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ctx.d
-        a1, b1, c1, e1 = self.a, self.b, self.c, self.e
-        a2, b2, c2, e2 = o.a, o.b, o.c, o.e
+        a1, b1, c1, e1 = self._a, self._b, self._c, self._e
+        a2, b2, c2, e2 = o._a, o._b, o._c, o._e
+        den = self._den * o._den
         # rational factors are the common case; skip the full expansion
         if not (b1 or c1 or e1):
-            return FieldElem(a1 * a2, a1 * b2, a1 * c2, a1 * e2, self.ctx)
+            return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * e2, den, self.ctx)
         if not (b2 or c2 or e2):
-            return FieldElem(a2 * a1, a2 * b1, a2 * c1, a2 * e1, self.ctx)
-        # (u1 + v1*i)(u2 + v2*i) with u, v in Q(sqrt(d)):
+            return _reduced(a2 * a1, a2 * b1, a2 * c1, a2 * e1, den, self.ctx)
+        # (u1 + v1*i)(u2 + v2*i) with u, v in Z[sqrt(d)]:
         # real part u1*u2 - v1*v2, imaginary part u1*v2 + v1*u2.
-        ra = (a1 * a2 + d * b1 * b2) - (c1 * c2 + d * e1 * e2)
-        rb = (a1 * b2 + b1 * a2) - (c1 * e2 + e1 * c2)
-        rc = (a1 * c2 + d * b1 * e2) + (c1 * a2 + d * e1 * b2)
-        re = (a1 * e2 + b1 * c2) + (c1 * b2 + e1 * a2)
-        return FieldElem(ra, rb, rc, re, self.ctx)
+        d = self.ctx.d
+        return _reduced(a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2),
+                        a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+                        a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+                        a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2,
+                        den, self.ctx)
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldElem":
         """Complex conjugation: i -> -i."""
-        return FieldElem(self.a, self.b, -self.c, -self.e, self.ctx)
+        return _canonical(self._a, self._b, -self._c, -self._e, self._den,
+                          self.ctx)
 
     def inv(self) -> "FieldElem":
         """Multiplicative inverse, by two-stage rationalization.
 
-        First multiply by the complex conjugate to land in Q(sqrt(d)), then by
-        the sqrt(d)-conjugate to land in Q.
+        With u = A + B*sqrt(d) and v = C + E*sqrt(d), 1/x = D*(u - v*i)/w for
+        w = u^2 + v^2 = s + t*sqrt(d), and 1/w = (s - t*sqrt(d))/n with
+        n = s^2 - d*t^2, the product of w and its sqrt(d)-conjugate.  Both
+        are sums of two real squares, so n > 0 whenever x != 0.
         """
         if not self:
             raise ZeroDivisionError("inversion of zero scalar")
+        a, b, c, e, den = self._a, self._b, self._c, self._e, self._den
+        if not (b or c or e):
+            return _canonical(den if a > 0 else -den, 0, 0, 0, abs(a),
+                              self.ctx)
         d = self.ctx.d
-        w = self * self.conj()           # real: w = s + t*sqrt(d), w > 0
-        s, t = w.a, w.b
-        n = s * s - d * t * t            # nonzero since w != 0 and sqrt(d) irrational
-        winv = FieldElem(s / n, -t / n, Fraction(0), Fraction(0), self.ctx)
-        return self.conj() * winv
+        s = a * a + c * c + d * (b * b + e * e)
+        t = 2 * (a * b + c * e)
+        return _reduced(den * (a * s - d * b * t), den * (b * s - a * t),
+                        den * (d * e * t - c * s), den * (c * t - e * s),
+                        s * s - d * t * t, self.ctx)
 
     def __truediv__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
@@ -237,7 +284,7 @@ class FieldElem:
         """Sign of a real element a + b*sqrt(d), as -1, 0 or +1."""
         if not self.is_real():
             raise ValueError("sign is defined only for real scalars")
-        a, b = self.a, self.b
+        a, b = self._a, self._b  # same signs as a and b, since D > 0
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
@@ -258,6 +305,45 @@ class FieldElem:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+_new = object.__new__
+
+
+def _canonical(a: int, b: int, c: int, e: int, den: int,
+               ctx: FieldContext) -> FieldElem:
+    """The element with integer parts already in canonical form."""
+    x = _new(FieldElem)
+    x._a = a
+    x._b = b
+    x._c = c
+    x._e = e
+    x._den = den
+    x.ctx = ctx
+    return x
+
+
+def _reduced(a: int, b: int, c: int, e: int, den: int,
+             ctx: FieldContext) -> FieldElem:
+    """The element (a + b*sqrt(d) + (c + e*sqrt(d))*i) / den, for den > 0."""
+    g = gcd(a, b, c, e, den)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        e //= g
+        den //= g
+    return _canonical(a, b, c, e, den, ctx)
+
+
+def _difference(x: FieldElem, y: FieldElem) -> FieldElem:
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        return _reduced(x._a - y._a, x._b - y._b, x._c - y._c, x._e - y._e,
+                        d1, x.ctx)
+    return _reduced(x._a * d2 - y._a * d1, x._b * d2 - y._b * d1,
+                    x._c * d2 - y._c * d1, x._e * d2 - y._e * d1,
+                    d1 * d2, x.ctx)
 
 
 class Automorphism(enum.Enum):
@@ -298,11 +384,12 @@ def apply_automorphism(f: Automorphism, x: FieldElem) -> FieldElem:
     """Apply f to x.  CONJ negates i, FLIP negates sqrt(d), CONJFLIP both."""
     if f is Automorphism.ID:
         return x
+    a, b, c, e, den = x._a, x._b, x._c, x._e, x._den
     if f is Automorphism.CONJ:
-        return FieldElem(x.a, x.b, -x.c, -x.e, x.ctx)
+        return _canonical(a, b, -c, -e, den, x.ctx)
     if f is Automorphism.FLIP:
-        return FieldElem(x.a, -x.b, x.c, -x.e, x.ctx)
-    return FieldElem(x.a, -x.b, -x.c, x.e, x.ctx)
+        return _canonical(a, -b, c, -e, den, x.ctx)
+    return _canonical(a, -b, -c, e, den, x.ctx)
 
 
 # -- parsing and formatting -------------------------------------------------

@@ -70,6 +70,16 @@ def default_entry_pool(ctx: FieldContext) -> tuple[FieldElem, ...]:
             one + i, one - i, one + r, one - r)
 
 
+# Largest dimension n and tuple length k a suite run accepts.  The pencil's
+# subset DP has 2^n states and its polynomial up to C(n+k-1, k-1) terms: on
+# a 2-core x86 VM with Python 3.11 one pairs trial takes about 3 s at n = 12
+# and did not finish within 60 s at n = 16, and one rank-one trial takes
+# about 65 s at n = k = 10.  Trials and witness budgets cost linear time and
+# stay unbounded.
+MAX_N = 12
+MAX_K = 10
+
+
 @dataclasses.dataclass(frozen=True)
 class TrialConfig:
     """Shared knobs for one suite run; immutable so reports can embed it."""
@@ -85,8 +95,14 @@ class TrialConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")
+        if self.n > MAX_N:
+            raise ValueError(
+                f"dimension n must be at most {MAX_N}, got {self.n}")
         if self.k < 1:
             raise ValueError("tuple length k must be positive")
+        if self.k > MAX_K:
+            raise ValueError(
+                f"tuple length k must be at most {MAX_K}, got {self.k}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         ctx = FieldContext(self.d)

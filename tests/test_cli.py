@@ -245,6 +245,17 @@ def test_huge_d_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_huge_n_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--suite", "pairs", "--n", "30",
+                                  "--trials", "1"])
+    assert code == 2 and "at most" in err and out == ""
+    code, _, err = run(capsys, ["witness", "--kind", "flip-rank-one",
+                                "--n", "12"])
+    assert code == 2 and "k must be at most" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_d_mismatch_is_an_input_error(tmp_path, capsys):
     t = basis_tuple_file(tmp_path)
     code, _, err = run(capsys, ["poly", "--tuple", t, "--d", "3"])

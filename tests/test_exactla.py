@@ -183,7 +183,7 @@ def test_projection_identities_random():
 
 
 def test_projection_rejects_dependent_columns():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="columns are dependent"):
         projection_onto(Matrix([[1, 2], [1, 2]], K))
 
 

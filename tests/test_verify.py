@@ -10,6 +10,8 @@ from jspec.maps import make_induced, make_unitary_conj, map_from_json
 from jspec.scalar import Automorphism, FieldContext
 from jspec.spectrum import pencil_poly, tuple_from_json, zero_set_equal
 from jspec.verify import (
+    MAX_K,
+    MAX_N,
     TrialConfig,
     Violation,
     Witness,
@@ -49,6 +51,11 @@ def test_config_validation():
         TrialConfig(n=3, trials=0)
     with pytest.raises(ValueError):
         TrialConfig(n=3, k=0)
+    with pytest.raises(ValueError, match="at most"):
+        TrialConfig(n=MAX_N + 1)
+    with pytest.raises(ValueError, match="at most"):
+        TrialConfig(n=3, k=MAX_K + 1)
+    assert TrialConfig(n=MAX_N, k=MAX_K).n == MAX_N
     with pytest.raises(ValueError):
         TrialConfig(n=3, entry_pool=())
     cfg = TrialConfig(n=3, entry_pool=(1, -1, K.sqrt_d))
@@ -282,3 +289,21 @@ def test_witness_json_embeds_reconstructible_parts():
     assert [p.rank for p in projs] == [p.rank for p in witness.projs]
     assert form["d"] == 2 and form["k"] == 3 and form["n"] == 3
     assert form["squarefree"] != form["squarefree-image"]
+
+
+def test_witness_json_round_trip_rebuilds_the_verdict():
+    # the flip witness of acceptance criterion 5
+    cfg = TrialConfig(n=3, k=3, seed=105)
+    witness = find_spectrum_witness(flip_map(3), cfg, budget=1000)
+    form = json.loads(json.dumps(witness.to_json()))
+    projs = tuple(tuple_from_json(form["tuple"]))
+    m = map_from_json(form["map"])
+    assert projs == witness.projs
+    assert type(m) is type(witness.m)
+    assert m.f is witness.m.f and m.b == witness.m.b
+    original = pencil_poly(projs)
+    image = pencil_poly([m.apply(p) for p in projs])
+    assert original.pencil == witness.original.pencil
+    assert image.pencil == witness.image.pencil
+    assert not zero_set_equal(original, image)
+    assert Witness(projs, m, original, image).to_json() == form
