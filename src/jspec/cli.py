@@ -9,6 +9,7 @@ flows from --seed, so identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -24,6 +25,8 @@ from jspec.spectrum import (
     tuple_from_json,
 )
 from jspec.verify import (
+    MAX_K,
+    MAX_N,
     TrialConfig,
     VerificationReport,
     check_det_automorphism,
@@ -54,10 +57,21 @@ def _load_json(path: str) -> object:
         raise UsageError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise UsageError(f"{path} nests JSON too deeply to read") from err
 
 
 def _load_tuple(path: str, ctx: FieldContext) -> list[Projection]:
-    return tuple_from_json(_load_json(path), ctx)
+    """A tuple small enough for the pencil's exponential subset DP."""
+    projs = tuple_from_json(_load_json(path), ctx)
+    n, k = projs[0].n, len(projs)
+    if n > MAX_N:
+        raise UsageError(f"{path}: dimension n must be at most {MAX_N}, "
+                         f"got {n}")
+    if k > MAX_K:
+        raise UsageError(f"{path}: tuple length k must be at most {MAX_K}, "
+                         f"got {k}")
+    return projs
 
 
 def _load_projection(path: str, ctx: FieldContext) -> Projection:
@@ -243,6 +257,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="also write a JSON report file")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jspec",

@@ -19,6 +19,7 @@ from jspec.scalar import (
     FieldContext,
     FieldElem,
     ParseError,
+    _Parser,
     format_scalar,
     parse_scalar,
 )
@@ -119,11 +120,6 @@ class MultiPoly:
         """Terms in graded-lex descending order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
                       reverse=True)
-
-    def constant_value(self) -> FieldElem:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, self.ctx.zero)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -491,55 +487,28 @@ def parse_poly(text: str, nvars: int, ctx: FieldContext) -> MultiPoly:
     return _PolyParser(text, nvars, ctx).parse()
 
 
-class _PolyParser:
+class _PolyParser(_Parser):
     def __init__(self, text: str, nvars: int, ctx: FieldContext):
-        self.text = text
+        super().__init__(text)
         self.nvars = nvars
         self.ctx = ctx
-        self.pos = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
+    def zero(self) -> MultiPoly:
+        return MultiPoly.zero(self.nvars, self.ctx)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> MultiPoly:
-        total = MultiPoly.zero(self.nvars, self.ctx)
-        sign = 1
-        ch = self.peek()
-        if ch in ("+", "-"):
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        while True:
-            total = total + self.parse_term(sign)
-            ch = self.peek()
-            if ch == "":
-                return total
-            if ch not in ("+", "-"):
-                raise self.error(f"expected '+', '-' or end of input, found {ch!r}")
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-
-    def parse_term(self, sign: int) -> MultiPoly:
+    def term(self, sign: int) -> MultiPoly:
         coef = self.ctx.elem(sign)
         expts = [0] * self.nvars
-        saw_factor = False
         while True:
             ch = self.peek()
             if ch == "(":
                 self.pos += 1
-                coef = coef * self.parse_paren_scalar()
+                coef = coef * self.paren_scalar()
             elif ch == "c":
-                j, e = self.parse_var_power()
+                j, e = self.var_power()
                 expts[j] += e
-            elif ch.isdigit():
-                coef = coef * self.parse_rational()
+            elif self.at_digit():
+                coef = coef * self.rational()
             elif ch == "i":
                 self.pos += 1
                 coef = coef * self.ctx.i
@@ -548,16 +517,11 @@ class _PolyParser:
                 coef = coef * self.ctx.sqrt_d
             else:
                 raise self.error("expected a factor")
-            saw_factor = True
-            if self.peek() == "*":
-                self.pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise self.error("empty term")
-        return MultiPoly.monomial(tuple(expts), coef, self.ctx)
+            if self.peek() != "*":
+                return MultiPoly.monomial(tuple(expts), coef, self.ctx)
+            self.pos += 1
 
-    def parse_paren_scalar(self) -> FieldElem:
+    def paren_scalar(self) -> FieldElem:
         depth = 1
         start = self.pos
         while self.pos < len(self.text):
@@ -577,14 +541,12 @@ class _PolyParser:
             self.pos += 1
         raise self.error("unclosed parenthesis")
 
-    def parse_var_power(self) -> tuple[int, int]:
+    def var_power(self) -> tuple[int, int]:
         self.pos += 1  # past 'c'
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        if not "0" <= self.text[start:start + 1] <= "9":
             raise self.error("expected a variable index after 'c'")
-        j = int(self.text[start:self.pos])
+        j = self.integer()
         if not 1 <= j <= self.nvars:
             self.pos = start
             raise self.error(
@@ -592,36 +554,7 @@ class _PolyParser:
         e = 1
         if self.peek() == "^":
             self.pos += 1
-            self.skip_ws()
-            estart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == estart:
+            if not self.at_digit():
                 raise self.error("expected an exponent after '^'")
-            e = int(self.text[estart:self.pos])
+            e = self.integer()
         return j - 1, e
-
-    def parse_rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        num = int(self.text[start:self.pos])
-        self.skip_ws()
-        # a '/' here is a rational only if a digit follows
-        if (self.pos < len(self.text) and self.text[self.pos] == "/"):
-            save = self.pos
-            self.pos += 1
-            self.skip_ws()
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
-                self.pos = save
-                raise self.error("expected an integer after '/'")
-            den = int(self.text[dstart:self.pos])
-            if den == 0:
-                self.pos = dstart
-                raise self.error("division by zero literal")
-            return Fraction(num, den)
-        return Fraction(num)

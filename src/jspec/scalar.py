@@ -13,6 +13,7 @@ composition.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -21,7 +22,10 @@ Rat = Union[int, Fraction]
 
 
 class ParseError(ValueError):
-    """Scalar-grammar syntax error, carrying the offending position."""
+    """Syntax error in the scalar or polynomial grammar, at `pos` of `text`.
+
+    Both grammars are written out on `_Parser`.
+    """
 
     def __init__(self, message: str, text: str, pos: int):
         super().__init__(f"{message} at position {pos}: {text!r}")
@@ -393,24 +397,37 @@ def apply_automorphism(f: Automorphism, x: FieldElem) -> FieldElem:
 
 
 # -- parsing and formatting -------------------------------------------------
-#
-# elem     := [sign] term (sign term)*
-# term     := rat unitpart? | unitpart
-# unitpart := ("*"? unit)+        unit in {i, r}, each at most once per term
-# rat      := integer ("/" positive-integer)?
-#
-# whitespace is insignificant; "r" denotes sqrt(d).
+
+_DIGITS = re.compile("[0-9]+")
 
 
-def parse_scalar(text: str, ctx: FieldContext) -> FieldElem:
-    """Parse the scalar grammar into a canonical FieldElem."""
-    return _ScalarParser(text, ctx).parse()
+class _Parser:
+    """Cursor, literals and signed sums shared by the two text grammars.
 
+    Both grammars read a signed sum of terms; whitespace between tokens is
+    insignificant, and only ASCII digits are digits:
 
-class _ScalarParser:
-    def __init__(self, text: str, ctx: FieldContext):
+        sum      := [sign] term (sign term)*
+        rat      := integer ("/" integer)?      nonzero denominator
+        integer  := [0-9]+
+
+    The scalar grammar (`parse_scalar`), with "r" for sqrt(d):
+
+        term     := rat unitpart? | unitpart
+        unitpart := ("*"? unit)+        unit in {i, r}, each at most once
+
+    The polynomial grammar (`parse_poly` in `jspec.polyalg`), the text form
+    `format_poly` prints:
+
+        term     := factor ("*" factor)*
+        factor   := rat | "i" | "r" | "(" scalar ")" | "c" index ("^" integer)?
+
+    where the variable index is an integer written directly after "c".
+    Subclasses give the sum's `zero()` and its `term(sign)`.
+    """
+
+    def __init__(self, text: str):
         self.text = text
-        self.ctx = ctx
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
@@ -424,15 +441,15 @@ class _ScalarParser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self) -> FieldElem:
-        total = self.ctx.zero
+    def parse(self):
+        total = self.zero()
         sign = 1
         ch = self.peek()
         if ch in ("+", "-"):
             sign = -1 if ch == "-" else 1
             self.pos += 1
         while True:
-            total = total + self.parse_term(sign)
+            total = total + self.term(sign)
             ch = self.peek()
             if ch == "":
                 return total
@@ -441,49 +458,64 @@ class _ScalarParser:
             sign = -1 if ch == "-" else 1
             self.pos += 1
 
-    def parse_term(self, sign: int) -> FieldElem:
-        ch = self.peek()
-        if ch.isdigit():
-            coef = self.parse_rational()
-            units = self.parse_unitpart(require=False)
-        elif ch in ("i", "r"):
+    def at_digit(self) -> bool:
+        """Whether the next character, after whitespace, is an ASCII digit."""
+        return "0" <= self.peek() <= "9"
+
+    def integer(self) -> int:
+        self.skip_ws()
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
+            raise self.error("expected an integer")
+        try:
+            value = int(match.group())
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise self.error("integer literal too long") from None
+        self.pos = match.end()
+        return value
+
+    def rational(self) -> Fraction:
+        num = self.integer()
+        if self.peek() != "/":
+            return Fraction(num)
+        self.pos += 1
+        self.skip_ws()
+        mark = self.pos
+        den = self.integer()
+        if den == 0:
+            self.pos = mark
+            raise self.error("division by zero literal")
+        return Fraction(num, den)
+
+
+def parse_scalar(text: str, ctx: FieldContext) -> FieldElem:
+    """Parse the scalar grammar into a canonical FieldElem."""
+    return _ScalarParser(text, ctx).parse()
+
+
+class _ScalarParser(_Parser):
+    def __init__(self, text: str, ctx: FieldContext):
+        super().__init__(text)
+        self.ctx = ctx
+
+    def zero(self) -> FieldElem:
+        return self.ctx.zero
+
+    def term(self, sign: int) -> FieldElem:
+        if self.at_digit():
+            coef = self.rational()
+            units = self.unitpart(require=False)
+        elif self.peek() in ("i", "r"):
             coef = Fraction(1)
-            units = self.parse_unitpart(require=True)
+            units = self.unitpart(require=True)
         else:
             raise self.error("expected a rational or unit ('i'/'r')")
-        coef *= sign
         has_i, has_r = units
-        z = Fraction(0)
-        if not has_i and not has_r:
-            return FieldElem(coef, z, z, z, self.ctx)
-        if has_r and not has_i:
-            return FieldElem(z, coef, z, z, self.ctx)
-        if has_i and not has_r:
-            return FieldElem(z, z, coef, z, self.ctx)
-        return FieldElem(z, z, z, coef, self.ctx)
+        parts = [0, 0, 0, 0]  # the components a, b, c, e of ctx.elem
+        parts[2 * has_i + has_r] = sign * coef
+        return self.ctx.elem(*parts)
 
-    def parse_rational(self) -> Fraction:
-        num = self.parse_integer()
-        if self.peek() == "/":
-            self.pos += 1
-            mark = self.pos
-            den = self.parse_integer()
-            if den == 0:
-                self.pos = mark
-                raise self.error("division by zero literal")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse_unitpart(self, require: bool) -> tuple[bool, bool]:
+    def unitpart(self, require: bool) -> tuple[bool, bool]:
         has_i = has_r = False
         first = True
         while True:

@@ -256,6 +256,36 @@ def test_huge_n_fails_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv", [["poly", "--tuple"],
+                                  ["lattice", "--op", "rank", "--p"]])
+def test_deeply_nested_json_is_an_input_error(argv, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + [str(deep)])
+    assert code == 2 and "too deeply" in err and out == ""
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("command", ["poly", "classify", "member"])
+def test_oversized_tuple_fails_fast(command, tmp_path, capsys):
+    # k = 11 rank-one lines in K^2, and a dense triple in K^13: the pencil
+    # would need C(12, 10) terms or 2^13 subset states.
+    long = [rank_one([K.one, K.elem(j)]) for j in range(11)]
+    wide = [rank_one([K.elem(j + t * t) for t in range(13)])
+            for j in range(3)]
+    start = time.perf_counter()
+    for projs, bound in ((long, "k must be at most 10"),
+                         (wide, "n must be at most 12")):
+        path = write(tmp_path / f"{len(projs)}.json", tuple_to_json(projs))
+        point = ["--point", ",".join("1" * len(projs))]
+        argv = [command, "--tuple", path] + (point if command == "member"
+                                             else [])
+        code, out, err = run(capsys, argv)
+        assert code == 2 and bound in err and out == ""
+    assert time.perf_counter() - start < 5
+
+
 def test_d_mismatch_is_an_input_error(tmp_path, capsys):
     t = basis_tuple_file(tmp_path)
     code, _, err = run(capsys, ["poly", "--tuple", t, "--d", "3"])

@@ -11,11 +11,9 @@ Re-record (only when a parse change is intended):
     PYTHONPATH=src python tests/test_parse_golden.py
 """
 
-import ast
 import json
 import os
 import random
-import re
 import sys
 
 import pytest
@@ -75,10 +73,6 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-_NESTED = re.compile(r"bad scalar in parentheses: (.*?) at position (\d+): "
-                     r"(.*)", re.DOTALL)
-
-
 def _moved(message: str, pos: int, text: str) -> tuple:
     """The error the shared literal rules report where the old code gave
     (message, pos) on text.
@@ -87,18 +81,12 @@ def _moved(message: str, pos: int, text: str) -> tuple:
     "expected an integer", reported past the whitespace after '/' as the
     scalar grammar did; "division by zero literal" points at the zero
     literal in both grammars (the scalar grammar used to point just past
-    the '/').  A parenthesised scalar's error is moved inside its wrapper.
+    the '/').
     """
     if message == "expected an integer after '/'":
         return "expected an integer", _skip_ws(text, pos + 1)
     if message == "division by zero literal":
         return message, _skip_ws(text, pos)
-    nested = _NESTED.fullmatch(message)
-    if nested:
-        inner = ast.literal_eval(nested.group(3))
-        msg, at = _moved(nested.group(1), int(nested.group(2)), inner)
-        return (f"bad scalar in parentheses: {msg} at position {at}: "
-                f"{inner!r}", pos)
     return message, pos
 
 
