@@ -3,7 +3,7 @@
 from jspec import (
     FieldContext,
     Matrix,
-    from_span,
+    Projection,
     identity_projection,
     rank_one,
     zero_projection,
@@ -51,7 +51,7 @@ print(f"  P ^ (I - P) == 0:         {p.meet(pc) == bottom}")
 
 print("\nprojections built from a spanning set (columns):")
 a = Matrix([[1, 1], [0, 1], [0, 0]], K)
-t = from_span(a)
+t = Projection(a)
 show("span of two columns", t)
 print(f"  same plane as P v Q:      {t == plane}")
 print("  matrix entries are exact scalars, no rounding anywhere:")

@@ -12,10 +12,10 @@ from jspec import (
     FieldContext,
     Matrix,
     OrthogonalityError,
+    Projection,
     apply_map,
     extend_join,
     extend_sum,
-    from_span,
     make_induced,
     make_unitary_conj,
 )
@@ -23,7 +23,7 @@ from jspec import (
 K = FieldContext(2)
 r = K.sqrt_d
 
-plane = from_span(Matrix([[1, 0], [r, 1], [0, 1]], K))
+plane = Projection(Matrix([[1, 0], [r, 1], [0, 1]], K))
 swap = make_unitary_conj(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], K))
 shear = make_induced(Automorphism.ID, Matrix([[1, 1, 0], [0, 1, 0],
                                               [0, 0, 1]], K))

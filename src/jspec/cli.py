@@ -326,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for j in reversed(range(len(argv) - 1)):
+        if argv[j] == "--point":  # argparse takes "-1,1" for an option
+            argv[j:j + 2] = [f"--point={argv[j + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,10 +1,12 @@
 """The lattice of orthogonal projections on K^n.
 
-A projection is a Hermitian idempotent matrix over K; both properties are
-checked at construction, so a Projection value is trustworthy by type.  Each
-subspace of K^n has exactly one such matrix, which makes projection equality
-plain matrix equality, and lets meet and join be computed exactly: join is
-the projection onto the sum of ranges, meet the projection onto the
+A Projection is built from a basis of its range; its matrix A (A*A)^{-1} A*
+is Hermitian and idempotent by construction, so nothing is checked.  A
+matrix from outside (a JSON file, a sum of images) comes in through
+make_projection, the one place that checks it.  Each subspace of K^n has
+exactly one projection matrix, which makes projection equality plain matrix
+equality, and lets meet and join be computed exactly: join is the
+projection onto the sum of ranges, meet the projection onto the
 intersection, found as the common kernel of the two complements.
 """
 
@@ -28,19 +30,13 @@ from jspec.scalar import FieldContext
 
 
 class Projection:
-    """An orthogonal projection on K^n, stored as its matrix."""
+    """The orthogonal projection onto the span of basis (independent columns)."""
 
-    __slots__ = ("matrix", "_rank")
+    __slots__ = ("basis", "matrix")
 
-    def __init__(self, matrix: Matrix):
-        if not matrix.is_square:
-            raise ValueError("projection matrix must be square")
-        if matrix.conj_transpose() != matrix:
-            raise ValueError("projection matrix must be Hermitian")
-        if matrix * matrix != matrix:
-            raise ValueError("projection matrix must be idempotent")
-        self.matrix = matrix
-        self._rank: Optional[int] = None
+    def __init__(self, basis: Matrix):
+        self.basis = basis
+        self.matrix = projection_onto(basis)
 
     # -- structure ----------------------------------------------------------
 
@@ -54,15 +50,13 @@ class Projection:
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.matrix.rank()
-        return self._rank
+        return self.basis.ncols
 
     def range(self) -> Subspace:
-        return self.matrix.colspace()
+        return self.basis.colspace()
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return self.rank == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Projection):
@@ -82,13 +76,12 @@ class Projection:
     # -- lattice operations ----------------------------------------------------
 
     def complement(self) -> "Projection":
-        return Projection(Matrix.identity(self.n, self.ctx) - self.matrix)
+        return Projection(self.matrix.kernel_basis())
 
     def join(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) + Range(other)."""
         self._same_space(other)
-        span = hstack(self.matrix, other.matrix)
-        return Projection(projection_onto(span.colspace().basis))
+        return Projection(hstack(self.basis, other.basis).colspace().basis)
 
     def meet(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) ∩ Range(other).
@@ -99,7 +92,7 @@ class Projection:
         self._same_space(other)
         ident = Matrix.identity(self.n, self.ctx)
         stacked = vstack(ident - self.matrix, ident - other.matrix)
-        return Projection(projection_onto(stacked.kernel_basis()))
+        return Projection(stacked.kernel_basis())
 
     def leq(self, other: "Projection") -> bool:
         """Range containment: true iff self.matrix * other.matrix = self.matrix."""
@@ -115,8 +108,14 @@ class Projection:
 
 
 def make_projection(matrix: Matrix) -> Projection:
-    """Wrap a matrix already known to be a projection; validates."""
-    return Projection(matrix)
+    """The projection whose matrix is `matrix`, checked to be one."""
+    if not matrix.is_square:
+        raise ValueError("projection matrix must be square")
+    if matrix.conj_transpose() != matrix:
+        raise ValueError("projection matrix must be Hermitian")
+    if matrix * matrix != matrix:
+        raise ValueError("projection matrix must be idempotent")
+    return Projection(matrix.colspace().basis)
 
 
 def rank_one(v: Sequence[Scalarish],
@@ -129,20 +128,11 @@ def rank_one(v: Sequence[Scalarish],
     col = [[_as_elem(x, ctx)] for x in v]
     if not any(r[0] for r in col):
         raise ValueError("rank_one needs a nonzero vector")
-    return Projection(projection_onto(Matrix(col, ctx, ncols=1)))
-
-
-def from_span(a: Matrix) -> Projection:
-    """The projection onto the column space of a.
-
-    Columns must be independent (a zero-column matrix is fine and gives the
-    zero projection); dependent spanning sets are the caller's bug.
-    """
-    return Projection(projection_onto(a))
+    return Projection(Matrix(col, ctx, ncols=1))
 
 
 def zero_projection(n: int, ctx: FieldContext) -> Projection:
-    return Projection(Matrix.zeros(n, n, ctx))
+    return Projection(Matrix.zeros(n, 0, ctx))
 
 
 def identity_projection(n: int, ctx: FieldContext) -> Projection:
@@ -163,6 +153,5 @@ def projection_from_json(obj: object,
     if ("matrix" in obj) == ("span" in obj):
         raise ValueError('projection form needs exactly one of "matrix"/"span"')
     if "matrix" in obj:
-        return Projection(matrix_from_json(obj["matrix"], ctx))
-    span = matrix_from_json(obj["span"], ctx)
-    return Projection(projection_onto(span.colspace().basis))
+        return make_projection(matrix_from_json(obj["matrix"], ctx))
+    return Projection(matrix_from_json(obj["span"], ctx).colspace().basis)

@@ -4,7 +4,8 @@ Three families: conjugation by a unitary (P -> U*PU), conjugation by an
 anti-unitary (entrywise conjugation composed with the same), and maps induced
 by a field automorphism f together with an invertible basis change B
 (Range(P) -> B * f(Range(P))).  All three send projections to projections
-exactly over K.  On top of them sit the two extension schemes that rebuild a
+exactly over K, and each is applied to a basis of the range, so the image
+needs no check.  On top of them sit the two extension schemes that rebuild a
 map from its action on rank-one projections: join of images over any rank-one
 decomposition, and sum of images over an orthogonal decomposition, the latter
 defined only when the map preserves orthogonality.
@@ -13,6 +14,7 @@ defined only when the map preserves orthogonality.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Optional, Sequence
 
 from jspec.exactla import (
@@ -24,9 +26,8 @@ from jspec.exactla import (
     hstack,
     matrix_from_json,
     matrix_to_json,
-    projection_onto,
 )
-from jspec.lattice import Projection, rank_one, zero_projection
+from jspec.lattice import Projection, make_projection, rank_one, zero_projection
 from jspec.scalar import Automorphism, FieldContext
 
 
@@ -68,7 +69,7 @@ class ProjectionMap:
 
 
 class UnitaryConjMap(ProjectionMap):
-    """P -> U*PU for a unitary U."""
+    """P -> U*PU for a unitary U: the projection onto U* Range(P)."""
 
     __slots__ = ("u", "u_star")
 
@@ -80,7 +81,7 @@ class UnitaryConjMap(ProjectionMap):
 
     def apply(self, p: Projection) -> Projection:
         self._check_dim(p)
-        return Projection(self.u_star * p.matrix * self.u)
+        return Projection(self.u_star * p.basis)
 
     def vector_image(self, v: Sequence[Scalarish]) -> tuple:
         return self.u_star.matvec(v)
@@ -90,7 +91,10 @@ class UnitaryConjMap(ProjectionMap):
 
 
 class AntiUnitaryConjMap(ProjectionMap):
-    """P -> conj(U*PU): conjugation by the anti-unitary (U followed by conj)."""
+    """P -> conj(U*PU): conjugation by the anti-unitary (U followed by conj).
+
+    The image is the projection onto conj(U* Range(P)).
+    """
 
     __slots__ = ("u", "u_star")
 
@@ -103,7 +107,7 @@ class AntiUnitaryConjMap(ProjectionMap):
     def apply(self, p: Projection) -> Projection:
         self._check_dim(p)
         return Projection(automorphism_entrywise(
-            Automorphism.CONJ, self.u_star * p.matrix * self.u))
+            Automorphism.CONJ, self.u_star * p.basis))
 
     def vector_image(self, v: Sequence[Scalarish]) -> tuple:
         return tuple(x.conj() for x in self.u_star.matvec(v))
@@ -132,8 +136,7 @@ class InducedMap(ProjectionMap):
 
     def apply(self, p: Projection) -> Projection:
         self._check_dim(p)
-        image = self.b * automorphism_entrywise(self.f, p.range().basis)
-        return Projection(projection_onto(image))
+        return Projection(self.b * automorphism_entrywise(self.f, p.basis))
 
     def vector_image(self, v: Sequence[Scalarish]) -> tuple:
         fv = [self.f(_as_elem(x, self.ctx)) for x in v]
@@ -249,12 +252,8 @@ def extend_join(m: ProjectionMap, p: Projection, *,
 
 
 def _join_of_line_images(m: ProjectionMap, basis: Matrix) -> Projection:
-    spans = [rank_one_image(m, basis.col(j)).range().basis
-             for j in range(basis.ncols)]
-    total = spans[0]
-    for extra in spans[1:]:
-        total = hstack(total, extra)
-    return Projection(projection_onto(total.colspace().basis))
+    lines = [rank_one_image(m, v).basis for v in basis.columns()]
+    return Projection(functools.reduce(hstack, lines).colspace().basis)
 
 
 def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
@@ -275,10 +274,8 @@ def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
                 raise OrthogonalityError(
                     "images of an orthogonal decomposition are not "
                     "mutually orthogonal")
-    total = images[0].matrix
-    for q in images[1:]:
-        total = total + q.matrix
-    return Projection(total)
+    return make_projection(sum((q.matrix for q in images[1:]),
+                               images[0].matrix))
 
 
 # -- text form ----------------------------------------------------------------------------

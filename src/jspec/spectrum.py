@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from jspec.lattice import (
     Projection,
-    identity_projection,
     projection_from_json,
     projection_to_json,
 )
@@ -194,7 +193,7 @@ def classify_rank_one_tuple(projs: Sequence[Projection]) -> RankOneClass:
     join = projs[0]
     for p in projs[1:]:
         join = join.join(p)
-    join_full = join == identity_projection(n, ctx)
+    join_full = join.rank == n
     if spectrum.is_full():
         if join_full:
             raise RuntimeError(
@@ -246,7 +245,7 @@ def pair_facts(p: Projection, q: Projection) -> PairFacts:
         raise ValueError(f"projections on K^{p.n} and K^{q.n}")
     ctx = p.ctx
     spectrum = pencil_poly([p, q])
-    join_full = p.join(q) == identity_projection(p.n, ctx)
+    join_full = p.join(q).rank == p.n
     meet_zero = p.meet(q).is_zero()
     point11_out = not spectrum.member([ctx.one, ctx.one])
     point1m1_out = not spectrum.member([ctx.one, -ctx.one])

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 from jspec.exactla import Matrix, automorphism_entrywise, matrix_to_json, vdot
 from jspec.lattice import (
     Projection,
-    from_span,
     identity_projection,
     projection_to_json,
     rank_one,
@@ -112,12 +111,15 @@ class TrialConfig:
         else:
             pool = tuple(ctx.elem(x) if not isinstance(x, FieldElem) else x
                          for x in pool)
-            if not pool:
-                raise ValueError("entry pool must be nonempty")
             for x in pool:
                 if x.ctx.d != self.d:
                     raise ValueError(
                         f"pool entry over d={x.ctx.d}, config has d={self.d}")
+            # With entries a != b, the vectors a*(1,..,1) and
+            # a*(1,..,1) + (b-a)*e_j span K^n, so random draws reach every
+            # rank; a single value never does.
+            if len(set(pool)) < 2:
+                raise ValueError("entry pool needs two distinct entries")
         object.__setattr__(self, "entry_pool", pool)
         object.__setattr__(self, "_ctx", ctx)
 
@@ -171,7 +173,7 @@ def random_projection(cfg: TrialConfig, rank: int,
         cols = [random_vector(cfg, rng) for _ in range(rank)]
         a = Matrix.from_columns(cols, cfg.ctx, nrows=n)
         if a.rank() == rank:
-            return from_span(a)
+            return Projection(a)
 
 
 def _unit_block(ctx: FieldContext, n: int, i0: int, j0: int,
@@ -739,7 +741,7 @@ def _structured_mixed_tuples(cfg: TrialConfig) -> list[list[Projection]]:
     for surd, line in ((r, (one, one)), (-r, (one, one)), (r, (one, -one))):
         cols = [_pad(ctx, n, (one, surd))] + \
             [_unit_vec(ctx, n, t) for t in range(2, n)]
-        big = from_span(Matrix.from_columns(cols, ctx, nrows=n))
+        big = Projection(Matrix.from_columns(cols, ctx, nrows=n))
         triple = [big,
                   rank_one(_unit_vec(ctx, n, 0)),
                   rank_one(_pad(ctx, n, line))]

@@ -82,6 +82,15 @@ def test_member_answers(tmp_path, capsys):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("point", ["-1,1,1", "-i,1,r", "-r,0,-1"])
+def test_point_may_start_with_a_minus(point, tmp_path, capsys):
+    path = basis_tuple_file(tmp_path)
+    split = run(capsys, ["member", "--tuple", path, "--point", point])
+    attached = run(capsys, ["member", "--tuple", path, f"--point={point}"])
+    assert split == attached
+    assert split[0] == 0
+
+
 def test_lattice_operations(tmp_path, capsys):
     p = rank_one([K.one, K.zero, K.zero]).join(
         rank_one([K.zero, K.one, K.zero]))

@@ -8,7 +8,6 @@ import pytest
 from jspec.exactla import Matrix, projection_onto
 from jspec.lattice import (
     Projection,
-    from_span,
     identity_projection,
     make_projection,
     projection_from_json,
@@ -62,20 +61,20 @@ def test_construction_fixed_values():
 
 
 def test_construction_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        make_projection(Matrix([[0, 1], [0, 0]], K))      # not Hermitian
-    with pytest.raises(ValueError):
-        make_projection(Matrix([[2, 0], [0, 2]], K))      # not idempotent
-    with pytest.raises(ValueError):
-        make_projection(Matrix.zeros(2, 3, K))            # not square
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        make_projection(Matrix([[0, 1], [0, 0]], K))
+    with pytest.raises(ValueError, match="must be idempotent"):
+        make_projection(Matrix([[2, 0], [0, 2]], K))
+    with pytest.raises(ValueError, match="must be square"):
+        make_projection(Matrix.zeros(2, 3, K))
+    with pytest.raises(ValueError, match="needs a nonzero vector"):
         rank_one([K.zero, K.zero])
-    with pytest.raises(ValueError):
-        from_span(Matrix([[1, 2], [1, 2]], K))            # dependent columns
+    with pytest.raises(ValueError, match="columns are dependent"):
+        Projection(Matrix([[1, 2], [1, 2]], K))
 
 
-def test_from_span_of_no_columns_is_zero():
-    p = from_span(Matrix.from_columns([], K, nrows=3))
+def test_projection_of_no_columns_is_zero():
+    p = Projection(Matrix.from_columns([], K, nrows=3))
     assert p == zero_projection(3, K)
     assert p.rank == 0
 
@@ -84,7 +83,7 @@ def test_range_roundtrip():
     rng = random.Random(2001)
     for _ in range(50):
         p = random_projection(rng, rng.randint(1, 4))
-        assert from_span(p.range().basis) == p
+        assert Projection(p.range().basis) == p
 
 
 # -- lattice operations ---------------------------------------------------------
@@ -192,7 +191,7 @@ def test_projection_json_roundtrip():
 def test_projection_json_span_form():
     form = {"span": {"d": 2, "rows": [["1", "0"], ["1", "0"], ["0", "1"]]}}
     p = projection_from_json(form)
-    assert p == from_span(Matrix([[1, 0], [1, 0], [0, 1]], K).colspace().basis)
+    assert p == Projection(Matrix([[1, 0], [1, 0], [0, 1]], K).colspace().basis)
     assert p.rank == 2
 
 

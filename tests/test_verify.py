@@ -63,6 +63,20 @@ def test_config_validation():
     assert len(default_entry_pool(K)) == 13
 
 
+@pytest.mark.parametrize("pool", [(0,), (1,), (K.i, K.i), ()])
+def test_pool_that_cannot_reach_every_rank_is_rejected(pool):
+    # (0,) made random_vector loop forever, (1,) random_projection at rank 2
+    with pytest.raises(ValueError, match="two distinct entries"):
+        TrialConfig(n=3, trials=2, entry_pool=pool)
+
+
+@pytest.mark.parametrize("pool", [(0, 2), (1, -2), (K.i, K.sqrt_d)])
+def test_two_distinct_entries_reach_every_rank(pool):
+    cfg = TrialConfig(n=3, entry_pool=pool)
+    for rank in range(4):
+        assert random_projection(cfg, rank, trial_rng(1, rank)).rank == rank
+
+
 def test_random_projection_rank_and_determinism():
     cfg = TrialConfig(n=4, seed=7)
     for rank in range(5):
