@@ -90,6 +90,8 @@ ARGVS = [
      "--map", "@unitary3", "--expect", "absent"],
     ["witness", "--kind", "flip-triple", "--budget", "3",
      "--map", "@unitary3"],
+    ["verify", "--suite", "extension", "--n", "3", "--trials", "200",
+     "--seed", "7", "--map", "@wild3"],
 ]
 
 # Each case reads the files named in FILES; see replay().
