@@ -38,7 +38,7 @@ for name, m in (("swap e1,e2 (unitary)", swap),
                 ("shear e2 -> e1+e2 (induced id)", shear),
                 ("sqrt(2) -> -sqrt(2) (induced flip)", flip)):
     image = apply_map(m, line)
-    col = image.range().basis.col(0)
+    col = image.basis.colspace_basis().col(0)
     print(f"  {name:<33} -> span{{({', '.join(str(x) for x in col)})}}")
 
 print("\nclassification by the Gram matrix of the basis change:")

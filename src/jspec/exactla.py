@@ -3,9 +3,9 @@
 Matrices are immutable row-major arrays of K-scalars and all computation is
 exact: determinants by fraction-free Bareiss elimination (with a naive
 Leibniz expansion kept as a cross-check oracle), rank and kernels by
-Gauss-Jordan reduction, and subspaces canonicalized to reduced column
-echelon form so equal subspaces compare equal as values.  The projection
-onto a column space is A (A*A)^{-1} A*, which never leaves K.
+Gauss-Jordan reduction, and column spaces canonicalized to a reduced column
+echelon basis, so equal subspaces have equal bases.  The projection onto a
+column space is A (A*A)^{-1} A*, found with one RREF, which never leaves K.
 """
 
 from __future__ import annotations
@@ -271,79 +271,15 @@ class Matrix:
             cols.append(tuple(v))
         return Matrix.from_columns(cols, self.ctx, nrows=self.ncols)
 
-    def colspace(self) -> "Subspace":
-        return Subspace(self.nrows, self)
+    def colspace_basis(self) -> "Matrix":
+        """The reduced column echelon basis of the column space.
 
-    def solve(self, v: Sequence[Scalarish]) -> Optional[Vector]:
-        """One exact solution of self * x = v, or None if inconsistent."""
-        if len(v) != self.nrows:
-            raise ValueError(f"vector length {len(v)} != nrows {self.nrows}")
-        vv = [_as_elem(x, self.ctx) for x in v]
-        aug = Matrix([list(r) + [vv[i]] for i, r in enumerate(self.rows)],
-                     self.ctx, ncols=self.ncols + 1)
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [self.ctx.zero] * self.ncols
-        for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
-        return tuple(x)
-
-    def inverse(self) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = hstack(self, Matrix.identity(n, self.ctx))
-        red, pivots = aug.rref()
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix([r[n:] for r in red.rows], self.ctx, ncols=n)
-
-
-class Subspace:
-    """A linear subspace of K^n, canonicalized for exact equality.
-
-    Built from any spanning matrix; the stored basis is the reduced column
-    echelon form of the span, which is unique per subspace, so two Subspace
-    values are equal iff they are the same subspace.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, spanning: Matrix):
-        if spanning.nrows != ambient_dim:
-            raise ValueError(
-                f"spanning matrix has {spanning.nrows} rows, expected "
-                f"{ambient_dim}")
-        red, _ = spanning.transpose().rref()
-        cols = [red.row(i) for i in range(red.nrows) if any(red.row(i))]
-        self.ambient_dim = ambient_dim
-        self.basis = Matrix.from_columns(cols, spanning.ctx, nrows=ambient_dim)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.ncols
-
-    @property
-    def ctx(self) -> FieldContext:
-        return self.basis.ctx
-
-    def contains(self, v: Sequence[Scalarish]) -> bool:
-        if self.dim == 0:
-            return not any(_as_elem(x, self.ctx) for x in v)
-        return self.basis.solve(v) is not None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
+        The basis is unique per subspace, so two matrices have the same
+        column space iff their colspace_basis() values are equal.
+        """
+        red, pivots = self.transpose().rref()
+        return Matrix.from_columns(red.rows[:len(pivots)], self.ctx,
+                                   nrows=self.nrows)
 
 
 # -- module-level operations ---------------------------------------------------
@@ -395,18 +331,19 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
 def projection_onto(a: Matrix) -> Matrix:
     """The matrix of the orthogonal projection onto the column space of a.
 
-    Computed as a (a*a)^{-1} a*, staying inside K.  Columns must be
-    independent; an empty column list yields the zero projection.
+    Computed as a (a*a)^{-1} a*, staying inside K: one RREF of [a*a | a*]
+    turns the right block into (a*a)^{-1} a*.  Columns must be independent;
+    an empty column list yields the zero projection.
     """
     if a.ncols == 0:
         return Matrix.zeros(a.nrows, a.nrows, a.ctx)
-    gram = a.conj_transpose() * a
-    try:
-        gram_inv = gram.inverse()
-    except ValueError:
+    r = a.ncols
+    a_star = a.conj_transpose()
+    red, pivots = hstack(a_star * a, a_star).rref()
+    if pivots[:r] != tuple(range(r)):
         # a*a is positive definite exactly when the columns are independent
-        raise ValueError("columns are dependent") from None
-    return a * gram_inv * a.conj_transpose()
+        raise ValueError("columns are dependent")
+    return a * Matrix([row[r:] for row in red.rows], a.ctx, ncols=a.nrows)
 
 
 def gram_schmidt(a: Matrix) -> Matrix:

@@ -6,8 +6,10 @@ matrix from outside (a JSON file, a sum of images) comes in through
 make_projection, the one place that checks it.  Each subspace of K^n has
 exactly one projection matrix, which makes projection equality plain matrix
 equality, and lets meet and join be computed exactly: join is the
-projection onto the sum of ranges, meet the projection onto the
-intersection, found as the common kernel of the two complements.
+projection onto the sum of ranges, spanned by the reduced column echelon
+basis (Matrix.colspace_basis) of the two range bases side by side, and
+meet the projection onto the intersection, found as the common kernel of
+the two complements.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Optional, Sequence
 from jspec.exactla import (
     Matrix,
     Scalarish,
-    Subspace,
     _as_elem,
     _find_ctx,
     hstack,
@@ -52,9 +53,6 @@ class Projection:
     def rank(self) -> int:
         return self.basis.ncols
 
-    def range(self) -> Subspace:
-        return self.basis.colspace()
-
     def is_zero(self) -> bool:
         return self.rank == 0
 
@@ -81,7 +79,7 @@ class Projection:
     def join(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) + Range(other)."""
         self._same_space(other)
-        return Projection(hstack(self.basis, other.basis).colspace().basis)
+        return Projection(hstack(self.basis, other.basis).colspace_basis())
 
     def meet(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) ∩ Range(other).
@@ -115,7 +113,7 @@ def make_projection(matrix: Matrix) -> Projection:
         raise ValueError("projection matrix must be Hermitian")
     if matrix * matrix != matrix:
         raise ValueError("projection matrix must be idempotent")
-    return Projection(matrix.colspace().basis)
+    return Projection(matrix.colspace_basis())
 
 
 def rank_one(v: Sequence[Scalarish],
@@ -154,4 +152,4 @@ def projection_from_json(obj: object,
         raise ValueError('projection form needs exactly one of "matrix"/"span"')
     if "matrix" in obj:
         return make_projection(matrix_from_json(obj["matrix"], ctx))
-    return Projection(matrix_from_json(obj["span"], ctx).colspace().basis)
+    return Projection(matrix_from_json(obj["span"], ctx).colspace_basis())

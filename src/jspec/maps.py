@@ -226,16 +226,17 @@ def extend_join(m: ProjectionMap, p: Projection, *,
                 check: bool = False, mixer: Optional[Matrix] = None) -> Projection:
     """Join of rank-one images over a rank-one decomposition of p.
 
-    The default decomposition comes from the canonical range basis.  With
-    check=True the result is recomputed from a second decomposition (columns
-    remixed by `mixer`, or by a fixed unitriangular mix) and the two must
-    agree; disagreement would mean the extension depends on the decomposition
-    and raises.
+    The default decomposition is the stored range basis p.basis; the join
+    of line images is the image of the whole range, whatever basis spans it.
+    With check=True the result is recomputed from a second decomposition
+    (columns remixed by `mixer`, or by a fixed unitriangular mix) and the
+    two must agree; disagreement would mean the extension depends on the
+    decomposition and raises.
     """
     m._check_dim(p)
     if p.is_zero():
         return zero_projection(m.n, m.ctx)
-    basis = p.range().basis
+    basis = p.basis
     result = _join_of_line_images(m, basis)
     if check:
         k = basis.ncols
@@ -253,7 +254,7 @@ def extend_join(m: ProjectionMap, p: Projection, *,
 
 def _join_of_line_images(m: ProjectionMap, basis: Matrix) -> Projection:
     lines = [rank_one_image(m, v).basis for v in basis.columns()]
-    return Projection(functools.reduce(hstack, lines).colspace().basis)
+    return Projection(functools.reduce(hstack, lines).colspace_basis())
 
 
 def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
@@ -266,7 +267,7 @@ def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
     m._check_dim(p)
     if p.is_zero():
         return zero_projection(m.n, m.ctx)
-    basis = gram_schmidt(p.range().basis)
+    basis = gram_schmidt(p.basis.colspace_basis())
     images = [rank_one_image(m, basis.col(j)) for j in range(basis.ncols)]
     for s in range(len(images)):
         for t in range(s + 1, len(images)):

@@ -361,15 +361,6 @@ class Automorphism(enum.Enum):
     def __call__(self, x: FieldElem) -> FieldElem:
         return apply_automorphism(self, x)
 
-    def compose_conj(self) -> "Automorphism":
-        """The automorphism x -> f(conj(x)) (= conj(f(x)) since they commute)."""
-        return {
-            Automorphism.ID: Automorphism.CONJ,
-            Automorphism.CONJ: Automorphism.ID,
-            Automorphism.FLIP: Automorphism.CONJFLIP,
-            Automorphism.CONJFLIP: Automorphism.FLIP,
-        }[self]
-
     @classmethod
     def from_name(cls, name: str) -> "Automorphism":
         try:

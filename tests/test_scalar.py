@@ -166,8 +166,6 @@ def test_automorphism_names():
     assert Automorphism.from_name("CONJFLIP") is Automorphism.CONJFLIP
     with pytest.raises(ValueError):
         Automorphism.from_name("transpose")
-    assert Automorphism.FLIP.compose_conj() is Automorphism.CONJFLIP
-    assert Automorphism.CONJ.compose_conj() is Automorphism.ID
 
 
 # -- real sign ----------------------------------------------------------------
