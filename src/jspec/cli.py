@@ -336,6 +336,10 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        dropped = [name for name, value in vars(args).items() if value == []]
+        if dropped:  # argparse stores a "--" value ("--p=--") as []
+            raise UsageError(f"argument --{dropped[0]}: expected a value, "
+                             "got '--'")
         return args.handler(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -78,6 +78,11 @@ def default_entry_pool(ctx: FieldContext) -> tuple[FieldElem, ...]:
 MAX_N = 12
 MAX_K = 10
 
+# Draws random_non_unitary_invertible makes before it gives up.  Some pools
+# admit no such matrix at all (over (1, -1) at n = 2 every invertible B has
+# a scalar gram); pools that admit one needed at most 7 draws in 3000 seeds.
+MAX_NON_UNITARY_DRAWS = 1000
+
 
 @dataclasses.dataclass(frozen=True)
 class TrialConfig:
@@ -227,12 +232,16 @@ def random_non_unitary_invertible(cfg: TrialConfig,
     """Invertible B whose gram B*B is not scalar.
 
     Rejecting scalar grams (not just gram != identity) keeps out matrices
-    that act on ranges exactly like scaled unitaries.
+    that act on ranges exactly like scaled unitaries.  Raises ValueError
+    after MAX_NON_UNITARY_DRAWS draws with scalar grams.
     """
-    while True:
+    for _ in range(MAX_NON_UNITARY_DRAWS):
         m = random_invertible(cfg, rng)
         if not gram_is_scalar(m):
             return m
+    raise ValueError(
+        f"no invertible matrix with a non-scalar gram in "
+        f"{MAX_NON_UNITARY_DRAWS} draws from this entry pool")
 
 
 def _random_tuple(cfg: TrialConfig, rng: random.Random,
@@ -733,18 +742,23 @@ def _pad(ctx: FieldContext, n: int, entries: Sequence[FieldElem]
     return v[:n]
 
 
+# Signs (surd, line) of the structured candidates: each holds the vector
+# (1, surd*sqrt(d), 0, ...) and the line through (1, line, 0, ...).
+_STRUCTURED_SIGNS = ((1, 1), (-1, 1), (1, -1))
+
+
 def _structured_mixed_tuples(cfg: TrialConfig) -> list[list[Projection]]:
     """Fixed mixed-rank candidate triples built from {0, 1, -1, r} entries."""
     ctx, n = cfg.ctx, cfg.n
     one, r = ctx.one, ctx.sqrt_d
     out = []
-    for surd, line in ((r, (one, one)), (-r, (one, one)), (r, (one, -one))):
-        cols = [_pad(ctx, n, (one, surd))] + \
+    for surd, line in _STRUCTURED_SIGNS:
+        cols = [_pad(ctx, n, (one, surd * r))] + \
             [_unit_vec(ctx, n, t) for t in range(2, n)]
         big = Projection(Matrix.from_columns(cols, ctx, nrows=n))
         triple = [big,
                   rank_one(_unit_vec(ctx, n, 0)),
-                  rank_one(_pad(ctx, n, line))]
+                  rank_one(_pad(ctx, n, (one, ctx.elem(line))))]
         out.append(_pad_tuple(cfg, triple))
     return out
 
@@ -754,10 +768,10 @@ def _structured_rank_one_tuples(cfg: TrialConfig) -> list[list[Projection]]:
     ctx, n = cfg.ctx, cfg.n
     one, r = ctx.one, ctx.sqrt_d
     out = []
-    for surd, line in ((r, (one, one)), (-r, (one, one)), (r, (one, -one))):
-        base = [rank_one(_pad(ctx, n, (one, surd))),
+    for surd, line in _STRUCTURED_SIGNS:
+        base = [rank_one(_pad(ctx, n, (one, surd * r))),
                 rank_one(_unit_vec(ctx, n, 0)),
-                rank_one(_pad(ctx, n, line))] + \
+                rank_one(_pad(ctx, n, (one, ctx.elem(line))))] + \
             [rank_one(_unit_vec(ctx, n, t)) for t in range(2, n)]
         if len(base) <= cfg.k:
             out.append(_pad_tuple(cfg, base))

@@ -265,6 +265,46 @@ def test_huge_n_fails_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--point", ["member", "--tuple", "@t", "--point", "--"]),
+    ("--point", ["member", "--tuple", "@t", "--point=--"]),
+    ("--tuple", ["member", "--tuple=--", "--point=1,1,1"]),
+    ("--tuple", ["poly", "--tuple=--"]),
+    ("--tuple", ["classify", "--tuple=--"]),
+    ("--p", ["lattice", "--op", "rank", "--p=--"]),
+    ("--q", ["lattice", "--op", "meet", "--p", "@p", "--q=--"]),
+    ("--map", ["map-apply", "--map=--", "--p", "@p"]),
+    ("--p", ["map-apply", "--map", "@m", "--p=--"]),
+    ("--map", ["verify", "--suite", "extension", "--trials", "1",
+               "--map=--"]),
+    ("--map", ["witness", "--kind", "flip-triple", "--budget", "1",
+               "--map=--"]),
+    ("--report", ["poly", "--tuple", "@t", "--report=--"]),
+    ("--report", ["classify", "--tuple", "@t", "--report=--"]),
+    ("--report", ["member", "--tuple", "@t", "--point=1,1,1",
+                  "--report=--"]),
+    ("--report", ["lattice", "--op", "rank", "--p", "@p", "--report=--"]),
+    ("--report", ["map-apply", "--map", "@m", "--p", "@p", "--report=--"]),
+    ("--report", ["verify", "--suite", "pairs", "--trials", "1",
+                  "--report=--"]),
+    ("--report", ["witness", "--kind", "flip-triple", "--budget", "1",
+                  "--report=--"]),
+])
+def test_dropped_double_dash_value_is_a_usage_error(option, argv, tmp_path,
+                                                    capsys):
+    # argparse drops a "--" value and would hand the command an empty list
+    files = {"@t": basis_tuple_file(tmp_path),
+             "@p": projection_file(tmp_path, rank_one([K.one, K.zero, K.zero]),
+                                   "p.json"),
+             "@m": write(tmp_path / "m.json", {
+                 "kind": "unitary",
+                 "U": matrix_to_json(Matrix.identity(3, K))})}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == \
+        f"usage error: argument {option}: expected a value, got '--'\n"
+
+
 @pytest.mark.parametrize("argv", [["poly", "--tuple"],
                                   ["lattice", "--op", "rank", "--p"]])
 def test_deeply_nested_json_is_an_input_error(argv, tmp_path, capsys):

@@ -10,7 +10,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jspec.cli import main
 from jspec.lattice import projection_to_json, rank_one
@@ -101,6 +101,7 @@ def write(path: str, payload: object) -> str:
 
 @FUZZ
 @given(text=GRAMMAR)
+@example("--")
 def test_member_point_text_only_exits(files, text):
     assert run_main(["member", "--tuple", files["tuple"],
                      f"--point={text}"]) in (0, 1, 2)

@@ -1,9 +1,14 @@
 """Trial suites: determinism, pass/fail behavior, witness search."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import jspec
 
 from jspec.exactla import Matrix
 from jspec.maps import make_induced, make_unitary_conj, map_from_json
@@ -75,6 +80,24 @@ def test_two_distinct_entries_reach_every_rank(pool):
     cfg = TrialConfig(n=3, entry_pool=pool)
     for rank in range(4):
         assert random_projection(cfg, rank, trial_rng(1, rank)).rank == rank
+
+
+def test_pool_without_non_scalar_gram_fails_fast():
+    # Over (1, -1) at n = 2 every invertible B has a scalar gram; the draw
+    # used to loop forever, so it runs in a child process with a timeout.
+    code = ("import random\n"
+            "from jspec.verify import TrialConfig, "
+            "random_non_unitary_invertible\n"
+            "random_non_unitary_invertible("
+            "TrialConfig(n=2, entry_pool=(1, -1)), random.Random(1))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jspec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=5,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.strip().splitlines()[-1] == (
+        "ValueError: no invertible matrix with a non-scalar gram in 1000 "
+        "draws from this entry pool")
 
 
 def test_random_projection_rank_and_determinism():
