@@ -123,11 +123,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_member(args) -> int:
     ctx = FieldContext(args.d)
-    spectrum = pencil_poly(_load_tuple(args.tuple, ctx))
+    projs = _load_tuple(args.tuple, ctx)
     try:
         point = _parse_point(args.point, ctx)
     except ParseError as err:
         raise UsageError(f"bad --point value: {err}") from err
+    if len(point) != len(projs):  # checked before the exponential pencil
+        raise UsageError(f"bad --point value: {len(point)} coordinates for "
+                         f"a tuple of {len(projs)} projections")
+    spectrum = pencil_poly(projs)
     print("in-spectrum" if spectrum.member(point) else "not-in-spectrum")
     return 0
 

@@ -147,6 +147,10 @@ class FieldElem:
     def e(self) -> Fraction:
         return Fraction(self._e, self._den)
 
+    def integer_form(self) -> tuple[int, int, int, int, int]:
+        """The stored ints (A, B, C, E, D) of the canonical form above."""
+        return self._a, self._b, self._c, self._e, self._den
+
     def _coerce(self, other: object) -> "FieldElem | None":
         if isinstance(other, FieldElem):
             if other.ctx.d != self.ctx.d:

@@ -11,7 +11,9 @@ containment reduces to polynomial divisibility over K.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Optional, Sequence
 
 from jspec.lattice import (
@@ -75,13 +77,16 @@ class JointSpectrum:
 def _check_tuple(projs: Sequence[Projection]) -> tuple[int, int, FieldContext]:
     if not projs:
         raise ValueError("empty projection tuple")
-    n = projs[0].n
+    n, ctx = projs[0].n, projs[0].ctx
     for p in projs:
         if not isinstance(p, Projection):
             raise TypeError("tuple entries must be Projection values")
         if p.n != n:
             raise ValueError(f"projections on K^{n} and K^{p.n} in one tuple")
-    return len(projs), n, projs[0].ctx
+        if p.ctx.d != ctx.d:
+            raise ValueError(
+                f"projections over d={ctx.d} and d={p.ctx.d} in one tuple")
+    return len(projs), n, ctx
 
 
 def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
@@ -90,40 +95,84 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     Dynamic programming over columns: the state after j columns maps each
     j-subset of rows to the signed sum of its partial products, so work stays
     at 2^n states instead of n! permutation terms.
+
+    The DP is fraction-free.  Let D_l be the lcm of the denominators of the
+    entries of P_l and D the lcm of all D_l.  Every entry of D_l P_l lies in
+    Z[i, sqrt d], held as four ints (A, B, C, E) for
+    A + B sqrt d + (C + E sqrt d) i, and
+
+        det(sum c_l P_l) = D^(-n) * sum_alpha q_alpha prod_l (D / D_l)^alpha_l
+                                  * c^alpha,
+
+    where q = det(sum c_l (D_l P_l)) and |alpha| = n.  Z[i, sqrt d] is closed
+    under +, - and *, and the DP and the rescaling by (D / D_l)^alpha_l use
+    only those, so no step leaves it: no division and no gcd.  The one
+    normalization is the final product with the scalar D^(-n).  Scaling
+    each P_l by its own D_l keeps the DP's integers about k times shorter
+    than one common scale would.  A monomial c^alpha is one int key with
+    alpha_l in bits width*l and up, so multiplying by c_l adds 1 << width*l.
     """
     k, n, ctx = _check_tuple(projs)
-    zero = MultiPoly.zero(k, ctx)
-    entry: list[list[MultiPoly]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for l, p in enumerate(projs):
-                coef = p.matrix[i, j]
-                if coef:
-                    terms[tuple(1 if m == l else 0 for m in range(k))] = coef
-            row.append(MultiPoly(k, terms, ctx))
-        entry.append(row)
-    states: dict[int, MultiPoly] = {0: MultiPoly.const(k, 1, ctx)}
+    d = ctx.d
+    forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]
+             for p in projs]
+    dens = [lcm(*(x[4] for row in rows for x in row)) for rows in forms]
+    den = lcm(*dens)
+    width = n.bit_length()  # exponents are at most n < 2**width
+    # entry[r][j]: (shift, A, B, C, E) of (D_l P_l)_{rj} for each l where
+    # that entry is nonzero
+    entry = [[[] for _ in range(n)] for _ in range(n)]
+    for l, rows in enumerate(forms):
+        shift = 1 << (width * l)
+        for r, row in enumerate(rows):
+            for j, (a, b, c, e, x_den) in enumerate(row):
+                if a or b or c or e:
+                    f = dens[l] // x_den
+                    entry[r][j].append((shift, a * f, b * f, c * f, e * f))
+    states: dict[int, dict[int, tuple[int, int, int, int]]] = {
+        0: {0: (1, 0, 0, 0)}}
     for j in range(n):
-        nxt: dict[int, MultiPoly] = {}
+        nxt: dict[int, dict[int, tuple[int, int, int, int]]] = {}
         for mask, acc in states.items():
             for r in range(n):
                 bit = 1 << r
-                if mask & bit:
+                if mask & bit or not entry[r][j]:
                     continue
-                e = entry[r][j]
-                if e.is_zero():
-                    continue
-                term = acc * e
-                if bin(mask >> (r + 1)).count("1") % 2:
-                    term = -term
-                cur = nxt.get(mask | bit)
-                nxt[mask | bit] = term if cur is None else cur + term
-        states = {m: p for m, p in nxt.items() if not p.is_zero()}
+                negate = bin(mask >> (r + 1)).count("1") % 2
+                out = nxt.setdefault(mask | bit, {})
+                for shift, a2, b2, c2, e2 in entry[r][j]:
+                    if negate:
+                        a2, b2, c2, e2 = -a2, -b2, -c2, -e2
+                    for key, (a1, b1, c1, e1) in acc.items():
+                        # FieldElem.__mul__'s product, without the reduction
+                        a = a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2)
+                        b = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
+                        c = a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2)
+                        e = a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2
+                        key += shift
+                        cur = out.get(key)
+                        if cur is not None:
+                            a += cur[0]
+                            b += cur[1]
+                            c += cur[2]
+                            e += cur[3]
+                        out[key] = (a, b, c, e)
+        states = {}
+        for mask, poly in nxt.items():
+            poly = {key: v for key, v in poly.items() if any(v)}
+            if poly:
+                states[mask] = poly
         if not states:
             break
-    pencil = states.get((1 << n) - 1, zero)
+    low = (1 << width) - 1
+    terms = {}
+    for key, v in states.get((1 << n) - 1, {}).items():
+        expts = tuple((key >> (width * l)) & low for l in range(k))
+        f = 1
+        for l, alpha in enumerate(expts):
+            f *= (den // dens[l]) ** alpha
+        terms[expts] = ctx.elem(*(x * f for x in v))
+    pencil = MultiPoly(k, terms, ctx) * ctx.elem(Fraction(1, den ** n))
     return JointSpectrum(k, n, pencil)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: output text, exit codes, determinism."""
 
 import json
+import random
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from jspec.lattice import projection_from_json, rank_one
 from jspec.polyalg import parse_poly
 from jspec.scalar import FieldContext
 from jspec.spectrum import tuple_to_json
+from jspec.verify import TrialConfig, random_projection
 
 K = FieldContext(2)
 
@@ -333,6 +335,20 @@ def test_oversized_tuple_fails_fast(command, tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 2 and bound in err and out == ""
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("point", ["1,2", "1,x,1"])
+def test_bad_point_fails_before_the_pencil(point, tmp_path, capsys):
+    # the pencil of this dense triple in K^12 takes seconds
+    cfg = TrialConfig(n=12, k=3)
+    rng = random.Random(12)
+    projs = [random_projection(cfg, rank, rng) for rank in (4, 6, 8)]
+    path = write(tmp_path / "t.json", tuple_to_json(projs))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["member", "--tuple", path,
+                                  "--point", point])
+    assert code == 2 and "bad --point value" in err and out == ""
+    assert time.perf_counter() - start < 3
 
 
 def test_d_mismatch_is_an_input_error(tmp_path, capsys):

@@ -3,9 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_pencil
 from jspec.exactla import Matrix, projection_onto
-from jspec.lattice import make_projection, rank_one, zero_projection
+from jspec.lattice import (
+    Projection,
+    identity_projection,
+    make_projection,
+    rank_one,
+    zero_projection,
+)
 from jspec.polyalg import MultiPoly, canonicalize
 from jspec.scalar import FieldContext
 from jspec.spectrum import (
@@ -97,6 +105,65 @@ def test_pencil_matches_leibniz_oracle():
         k = rng.randint(1, 3)
         projs = [random_projection(rng, n) for _ in range(k)]
         assert pencil_poly(projs).pencil == pencil_poly_leibniz(projs)
+
+
+def test_pencil_rejects_mixed_fields():
+    other = FieldContext(3)
+    with pytest.raises(ValueError, match="d=2 and d=3"):
+        pencil_poly([diag_projection([1, 0]),
+                     make_projection(Matrix.diag([other.one, other.zero],
+                                                 other))])
+
+
+def _pool(ctx):
+    one, i, r = ctx.one, ctx.i, ctx.sqrt_d
+    return (ctx.zero, ctx.zero, one, -one, ctx.elem(2), i, -i, r, one + i,
+            one - r, r * i, ctx.elem(1, 2) + i)
+
+
+@st.composite
+def tuples(draw, max_n, max_n_large_d):
+    """A projection tuple over K = Q(i, sqrt d), ranks 0..n, n <= max_n.
+
+    The oracles take seconds per pencil at the top sizes over the large d,
+    so there n stops at max_n_large_d.
+    """
+    d = draw(st.sampled_from([2, 3, 5, 999999937]))
+    ctx = FieldContext(d)
+    top = max_n if d < 10 else max_n_large_d
+    n = draw(st.sampled_from(range(1, top + 1)))
+    k = draw(st.integers(1, 4 if n <= 6 else 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    projs = []
+    for _ in range(k):
+        rank = draw(st.integers(0, n))
+        if rank == 0:
+            projs.append(zero_projection(n, ctx))
+        elif rank == n:
+            projs.append(identity_projection(n, ctx))
+        else:
+            while True:
+                cols = [[rng.choice(pool) for _ in range(n)]
+                        for _ in range(rank)]
+                a = Matrix.from_columns(cols, ctx, nrows=n)
+                if a.rank() == rank:
+                    projs.append(Projection(a))
+                    break
+    return projs
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuples(max_n=8, max_n_large_d=6))
+def test_pencil_matches_reference_dp(projs):
+    assert pencil_poly(projs).pencil == reference_pencil.pencil_poly(
+        projs).pencil
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuples(max_n=5, max_n_large_d=4))
+def test_pencil_matches_leibniz_hypothesis(projs):
+    assert pencil_poly(projs).pencil == pencil_poly_leibniz(projs)
 
 
 def test_member_matches_instantiated_determinant():
