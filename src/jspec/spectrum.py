@@ -92,42 +92,65 @@ def _check_tuple(projs: Sequence[Projection]) -> tuple[int, int, FieldContext]:
 def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     """Joint spectrum via the symbolic determinant of c1*P1 + ... + ck*Pk.
 
-    Dynamic programming over columns: the state after j columns maps each
-    j-subset of rows to the signed sum of its partial products, so work stays
-    at 2^n states instead of n! permutation terms.
-
-    The DP is fraction-free.  Let D_l be the lcm of the denominators of the
-    entries of P_l and D the lcm of all D_l.  Every entry of D_l P_l lies in
-    Z[i, sqrt d], held as four ints (A, B, C, E) for
-    A + B sqrt d + (C + E sqrt d) i, and
+    The determinant is fraction-free.  Let D_l be the lcm of the
+    denominators of the entries of P_l and D the lcm of all D_l.  Every
+    entry of D_l P_l lies in Z[i, sqrt d], and
 
         det(sum c_l P_l) = D^(-n) * sum_alpha q_alpha prod_l (D / D_l)^alpha_l
                                   * c^alpha,
 
-    where q = det(sum c_l (D_l P_l)) and |alpha| = n.  Z[i, sqrt d] is closed
-    under +, - and *, and the DP and the rescaling by (D / D_l)^alpha_l use
-    only those, so no step leaves it: no division and no gcd.  The one
-    normalization is the final product with the scalar D^(-n).  Scaling
-    each P_l by its own D_l keeps the DP's integers about k times shorter
-    than one common scale would.  A monomial c^alpha is one int key with
-    alpha_l in bits width*l and up, so multiplying by c_l adds 1 << width*l.
+    where q = det(sum c_l (D_l P_l)) and |alpha| = n.  `_integer_pencil`
+    computes q with +, - and * only, and the rescaling by (D / D_l)^alpha_l
+    multiplies ints; Z[i, sqrt d] is closed under those, so no step before
+    the last leaves it: no division and no gcd.
+    The one normalization is the final product with the scalar D^(-n).
+    Scaling each P_l by its own D_l keeps the DP's integers about k times
+    shorter than one common scale would (`tools/pencil_sizes.py` times
+    both).
     """
     k, n, ctx = _check_tuple(projs)
-    d = ctx.d
     forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]
              for p in projs]
     dens = [lcm(*(x[4] for row in rows for x in row)) for rows in forms]
     den = lcm(*dens)
+    terms = {}
+    for expts, v in _integer_pencil(forms, dens, ctx.d).items():
+        f = 1
+        for l, alpha in enumerate(expts):
+            f *= (den // dens[l]) ** alpha
+        terms[expts] = ctx.elem(*(x * f for x in v))
+    pencil = MultiPoly(k, terms, ctx) * ctx.elem(Fraction(1, den ** n))
+    return JointSpectrum(k, n, pencil)
+
+
+def _integer_pencil(forms: Sequence[list[list[tuple[int, ...]]]],
+                    scales: Sequence[int], d: int
+                    ) -> dict[tuple[int, ...], tuple[int, int, int, int]]:
+    """Coefficients of det(sum c_l (scales[l] P_l)) as 4-int tuples.
+
+    `forms[l][r][j]` is the `integer_form` (A, B, C, E, D) of (P_l)_{rj} and
+    each scales[l] a multiple of the D of every entry of P_l, so each entry
+    of scales[l] P_l is an element A + B sqrt d + (C + E sqrt d) i of
+    Z[i, sqrt d], held as four ints.  Returns {alpha: (A, B, C, E)} over the
+    nonzero coefficients of c^alpha.
+
+    Dynamic programming over columns: the state after j columns maps each
+    j-subset of rows to the signed sum of its partial products, so work stays
+    at 2^n states instead of n! permutation terms.  A monomial c^alpha is
+    one int key with alpha_l in bits width*l and up, so multiplying by c_l
+    adds 1 << width*l.
+    """
+    k, n = len(forms), len(forms[0])
     width = n.bit_length()  # exponents are at most n < 2**width
-    # entry[r][j]: (shift, A, B, C, E) of (D_l P_l)_{rj} for each l where
-    # that entry is nonzero
+    # entry[r][j]: (shift, A, B, C, E) of (scales[l] P_l)_{rj} for each l
+    # where that entry is nonzero
     entry = [[[] for _ in range(n)] for _ in range(n)]
     for l, rows in enumerate(forms):
         shift = 1 << (width * l)
         for r, row in enumerate(rows):
             for j, (a, b, c, e, x_den) in enumerate(row):
                 if a or b or c or e:
-                    f = dens[l] // x_den
+                    f = scales[l] // x_den
                     entry[r][j].append((shift, a * f, b * f, c * f, e * f))
     states: dict[int, dict[int, tuple[int, int, int, int]]] = {
         0: {0: (1, 0, 0, 0)}}
@@ -165,15 +188,8 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
         if not states:
             break
     low = (1 << width) - 1
-    terms = {}
-    for key, v in states.get((1 << n) - 1, {}).items():
-        expts = tuple((key >> (width * l)) & low for l in range(k))
-        f = 1
-        for l, alpha in enumerate(expts):
-            f *= (den // dens[l]) ** alpha
-        terms[expts] = ctx.elem(*(x * f for x in v))
-    pencil = MultiPoly(k, terms, ctx) * ctx.elem(Fraction(1, den ** n))
-    return JointSpectrum(k, n, pencil)
+    return {tuple((key >> (width * l)) & low for l in range(k)): v
+            for key, v in states.get((1 << n) - 1, {}).items()}
 
 
 def pencil_poly_leibniz(projs: Sequence[Projection]) -> MultiPoly:

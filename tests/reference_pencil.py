@@ -1,9 +1,10 @@
 """Reference pencil: the subset DP over `MultiPoly`s of `FieldElem`s.
 
 This is the pencil determinant jspec computed before its DP moved to integer
-coefficients over one common denominator.  It is kept unchanged as the
-oracle for the differential test in `tests/test_spectrum.py` and is not used
-by the package itself.
+coefficients: `spectrum.pencil_poly` now scales each P_l by the lcm D_l of
+its own entry denominators, runs the DP on Z[i, sqrt d], and rescales at the
+end.  This DP is kept unchanged as the oracle for the differential test in
+`tests/test_spectrum.py` and is not used by the package itself.
 """
 
 from __future__ import annotations
