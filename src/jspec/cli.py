@@ -111,11 +111,11 @@ def _cmd_poly(args) -> int:
 def _cmd_classify(args) -> int:
     ctx = FieldContext(args.d)
     projs = _load_tuple(args.tuple, ctx)
-    spectrum = pencil_poly(projs)
-    if spectrum.is_full():
-        print("full")
-    elif len(projs) == projs[0].n and all(p.rank == 1 for p in projs):
+    if len(projs) == projs[0].n and all(p.rank == 1 for p in projs):
+        # builds the pencil itself and answers "full" when it vanishes
         print(classify_rank_one_tuple(projs).value)
+    elif pencil_poly(projs).is_full():
+        print("full")
     else:
         print("hypersurface")
     return 0

@@ -8,11 +8,19 @@ content, then run a subresultant polynomial remainder sequence in the main
 variable; the squarefree part follows by dividing out the GCD of a
 polynomial with its partial derivatives.  All division steps are exact and
 checked.
+
+Most polynomials whose squarefree part is asked for are already squarefree,
+so `squarefree_part` first tries a certificate: restricted to a fixed line
+a + t*b along which p keeps its degree, p becomes q(t) in K[t], and
+gcd(q, q') = 1 proves p squarefree, because a square factor f^2 of p
+restricts to a square of the same degree.  Only a polynomial the
+certificate cannot prove goes through the multivariate GCDs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from jspec.scalar import (
@@ -413,6 +421,23 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The product of the distinct irreducible factors of p, canonicalized.
 
+    Most pencils of mixed-rank tuples are already squarefree, so a
+    certificate on a line runs first and returns canonicalize(p) when it
+    proves p squarefree; see `_certified_squarefree`.  Otherwise
+    `_squarefree_part_by_gcds` decides.  For squarefree p that path returns
+    canonicalize(p) as well, so the certificate changes no output.
+    """
+    if p.is_zero():
+        raise ValueError("squarefree part of the zero polynomial")
+    p = canonicalize(p)
+    if _certified_squarefree(p):
+        return p
+    return _squarefree_part_by_gcds(p)
+
+
+def _squarefree_part_by_gcds(p: MultiPoly) -> MultiPoly:
+    """The squarefree part of p by multivariate GCDs with its derivatives.
+
     Characteristic-zero recipe: p / gcd(p, d1 p, ..., dk p) over the nonzero
     partial derivatives, in one round.  Write p = c * f1^e1 * ... * fr^er
     with distinct irreducible fi.  Each fi^(ei-1) divides p and every dj p.
@@ -436,6 +461,87 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     if g.is_constant():
         return p
     return canonicalize(_must_divide(g, p))
+
+
+def _certificate_lines(nvars: int) -> tuple[tuple[Expts, Expts], ...]:
+    """The fixed lines a + t*b of the squarefreeness certificate.
+
+    Two integer lines: a = (0, 1, 2, ...), b = (1, 1, 1, ...) and
+    a = (0, 1, 4, 9, ...), b = (1, 2, 3, ...).  The entries of b are
+    positive: a nonzero pencil has nonnegative real coefficients, so its
+    value at b is nonzero and it keeps its degree on both lines.  On each
+    line the ratios a_l / b_l are distinct, so the line meets the
+    hyperplanes c_l = 0 at distinct points and c1 * ... * ck restricts to
+    a squarefree q.  For nvars >= 3 the two planes span(a, b) differ, so a
+    homogeneous p is tested on two different lines of projective space.
+    """
+    return ((tuple(range(nvars)), (1,) * nvars),
+            (tuple(l * l for l in range(nvars)), tuple(range(1, nvars + 1))))
+
+
+def _certified_squarefree(p: MultiPoly) -> bool:
+    """True only if p is squarefree, proved on one of the fixed lines.
+
+    For a line a + t*b, let q(t) = D * p(a + t*b), with D the lcm of the
+    denominators of p's coefficients.  A line counts only if deg q = deg p,
+    that is, the top-degree form p_top of p does not vanish at b.  Then a
+    constant gcd(q, q') proves p squarefree.  Suppose p = f^2 * g with f
+    nonconstant.  Then f(a + t*b)^2 divides q.  Its degree in t is deg f,
+    because f_top(b) is a factor of p_top(b) = f_top(b)^2 * g_top(b) != 0.
+    So q has a repeated root and gcd(q, q') is not constant.
+
+    A False answer proves nothing: a squarefree p may have a repeated root
+    on both lines, or p_top may vanish at both b.
+    """
+    if p.is_constant():
+        return True
+    degree = p.total_degree()
+    for a, b in _certificate_lines(p.nvars):
+        q = _restrict_to_line(p, a, b)
+        if q.total_degree() == degree and \
+                gcd(q, q.partial_derivative(0)).is_constant():
+            return True
+    return False
+
+
+def _restrict_to_line(p: MultiPoly, a: Expts, b: Expts) -> MultiPoly:
+    """D * p(a + t*b) in the one variable t, over Z[i, sqrt d].
+
+    D is the lcm of the denominators of p's coefficients.  Each term
+    coef * c^e contributes coef * D times the integer polynomial
+    prod_l (a_l + b_l t)^(e_l), so the expansion runs on plain ints.
+    """
+    forms = [(expts, coef.integer_form()) for expts, coef in p.terms.items()]
+    den = lcm(*(form[4] for _, form in forms))
+    # powers[l][e]: the coefficients of (a_l + b_l t)^e, low degree first
+    powers: list[list[list[int]]] = [[[1]] for _ in a]
+    sums = [[0, 0, 0, 0] for _ in range(p.total_degree() + 1)]
+    for expts, (ca, cb, cc, ce, cden) in forms:
+        line = [den // cden]
+        for l, e in enumerate(expts):
+            if e:
+                pw = powers[l]
+                while len(pw) <= e:
+                    pw.append(_int_poly_mul(pw[-1], [a[l], b[l]]))
+                line = _int_poly_mul(line, pw[e])
+        for m, x in enumerate(line):
+            if x:
+                s = sums[m]
+                s[0] += ca * x
+                s[1] += cb * x
+                s[2] += cc * x
+                s[3] += ce * x
+    ctx = p.ctx
+    return MultiPoly(1, {(m,): ctx.elem(*s) for m, s in enumerate(sums)}, ctx)
+
+
+def _int_poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
 
 
 def canonicalize(p: MultiPoly) -> MultiPoly:

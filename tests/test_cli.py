@@ -69,6 +69,26 @@ def test_classify_tokens(tmp_path, capsys):
     assert (code, out.strip()) == (0, "hypersurface")
 
 
+def test_classify_builds_the_pencil_once(tmp_path, capsys, monkeypatch):
+    import jspec.cli
+    import jspec.spectrum
+
+    calls = []
+    build = jspec.spectrum.pencil_poly
+
+    def counted(projs):
+        calls.append(len(projs))
+        return build(projs)
+
+    # cli imports the name, so both bindings are replaced
+    monkeypatch.setattr(jspec.spectrum, "pencil_poly", counted)
+    monkeypatch.setattr(jspec.cli, "pencil_poly", counted)
+    code, out, _ = run(capsys, ["classify", "--tuple",
+                                basis_tuple_file(tmp_path)])
+    assert (code, out.strip()) == (0, "coordinate-hyperplanes")
+    assert calls == [3]
+
+
 def test_member_answers(tmp_path, capsys):
     t = basis_tuple_file(tmp_path)
     code, out, _ = run(capsys, ["member", "--tuple", t,

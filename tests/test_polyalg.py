@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from jspec import polyalg
 from jspec.polyalg import (
     MultiPoly,
+    _certificate_lines,
+    _certified_squarefree,
+    _squarefree_part_by_gcds,
     canonicalize,
     divides,
     exact_quotient,
@@ -323,6 +327,145 @@ def test_squarefree_is_squarefree():
             if not pd.is_zero():
                 folded = gcd(folded, pd)
         assert folded.is_constant()
+
+
+# -- the squarefreeness certificate -------------------------------------------------
+#
+# squarefree_part first tries to prove p squarefree on fixed lines and falls
+# back to _squarefree_part_by_gcds; the two must agree on every input, and
+# the certificate must never accept a polynomial with a squared factor.
+
+
+def test_certificate_fixed_values():
+    c1, c2, c3 = c(0), c(1), c(2)
+    for p in (c1 * c2 * c3, c1 ** 2 * c2 + c3 ** 3,
+              (c1 + 2 * c2 - c3) * (c1 - K.i * c3) * (c2 + K.sqrt_d * c3),
+              MultiPoly.variable(0, 1, K) ** 2 - const(2, 1)):
+        assert _certified_squarefree(canonicalize(p))
+        assert squarefree_part(p) == canonicalize(p)
+    for p in (c1 ** 2 * c2, (c1 + c2 - c3) ** 2 * c3,
+              (c1 * c2 + K.i * c3 ** 2) ** 2):
+        assert not _certified_squarefree(canonicalize(p))
+
+
+def test_squarefree_falls_back_when_every_top_form_vanishes(monkeypatch):
+    # each linear form's top part vanishes at the direction b of one
+    # certificate line, so p_top(b) = 0 on every line and only the GCD loop
+    # can decide
+    c1, c2, c3 = c(0), c(1), c(2)
+    lines = _certificate_lines(3)
+    assert [b for _, b in lines] == [(1, 1, 1), (1, 2, 3)]
+    p = (c1 - c2 + const(1)) * (2 * c1 - c2)
+    top = MultiPoly(3, {e: x for e, x in p.terms.items() if sum(e) == 2}, K)
+    for _, b in lines:
+        assert top.eval(list(b)) == 0
+    calls = []
+    loop = polyalg._squarefree_part_by_gcds
+    monkeypatch.setattr(polyalg, "_squarefree_part_by_gcds",
+                        lambda q: calls.append(q) or loop(q))
+    assert not _certified_squarefree(canonicalize(p))
+    assert squarefree_part(p) == canonicalize(p)
+    assert squarefree_part(p * c3 ** 2) == canonicalize(p * c3)
+    assert len(calls) == 2
+
+
+FIELDS = [FieldContext(d) for d in (2, 3, 5, 999999937)]
+
+
+def coefficient_pool(ctx):
+    return [ctx.one, -ctx.one, ctx.elem(2), ctx.elem(Fraction(-1, 3)),
+            ctx.i, ctx.sqrt_d, 1 + ctx.i, 1 - 2 * ctx.sqrt_d]
+
+
+@st.composite
+def factors(draw, nvars, ctx):
+    """A nonconstant factor of degree 1 or 2.
+
+    Some are linear forms whose top form vanishes at a certificate line's
+    direction b, so that the restriction to that line drops in degree.
+    """
+    pool = coefficient_pool(ctx)
+    coef = st.sampled_from(pool)
+    if nvars >= 2 and draw(st.booleans()):
+        _, b = draw(st.sampled_from(_certificate_lines(nvars)))
+        lin = [draw(coef)] + [draw(st.sampled_from(pool + [ctx.zero]))
+                              for _ in range(nvars - 2)]
+        last = -sum((x * bj for x, bj in zip(lin, b)), ctx.zero) / b[-1]
+        terms = {tuple(1 if m == j else 0 for m in range(nvars)): x
+                 for j, x in enumerate(lin + [last])}
+        terms[(0,) * nvars] = draw(st.sampled_from(pool + [ctx.zero]))
+        return MultiPoly(nvars, terms, ctx)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        expts = draw(st.lists(st.integers(min_value=0, max_value=2),
+                              min_size=nvars, max_size=nvars)
+                     .filter(lambda e: 1 <= sum(e) <= 2))
+        terms[tuple(expts)] = draw(coef)
+    if draw(st.booleans()):
+        terms[(0,) * nvars] = draw(coef)
+    return MultiPoly(nvars, terms, ctx)
+
+
+@st.composite
+def products(draw, max_nvars=4):
+    """(p, squared): f*g*h, or f^2*g*h with f nonconstant when squared."""
+    ctx = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(min_value=1, max_value=max_nvars))
+    f, g, h = (draw(factors(nvars, ctx)) for _ in range(3))
+    squared = draw(st.booleans())
+    return (f * f * g * h if squared else f * g * h), squared
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_squarefree_certificate_matches_gcd_loop(case):
+    p, squared = case
+    by_gcds = _squarefree_part_by_gcds(p)
+    assert squarefree_part(p) == by_gcds
+    certified = _certified_squarefree(canonicalize(p))
+    if squared:
+        assert not certified
+        assert by_gcds.total_degree() < p.total_degree()
+    if certified:
+        assert by_gcds == canonicalize(p)
+
+
+_SYMPY_FIELDS = {}
+
+
+def to_sympy(p, sympy):
+    """p as a sympy Poly over QQ<i, sqrt d>, built term by term.
+
+    Parsing a sympy expression into that domain takes about a second per
+    polynomial, so the domain and its i and sqrt d are built once per d.
+    """
+    d = p.ctx.d
+    if d not in _SYMPY_FIELDS:
+        dom = sympy.QQ.algebraic_field(sympy.I, sympy.sqrt(d))
+        _SYMPY_FIELDS[d] = (dom, dom.from_sympy(sympy.I),
+                            dom.from_sympy(sympy.sqrt(d)))
+    dom, i, r = _SYMPY_FIELDS[d]
+
+    def rat(x):
+        return dom.convert(sympy.Rational(x.numerator, x.denominator))
+
+    terms = {expts: rat(x.a) + rat(x.b) * r + (rat(x.c) + rat(x.e) * r) * i
+             for expts, x in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(f"c1:{p.nvars + 1}"),
+                                domain=dom)
+
+
+def test_squarefree_matches_sympy_sqf_part():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=25, deadline=None)
+    @given(products(max_nvars=3))
+    def check(case):
+        p, _ = case
+        expected = sympy.sqf_part(to_sympy(p, sympy))
+        assert to_sympy(squarefree_part(p), sympy).monic() == expected.monic()
+
+    check()
 
 
 # -- canonical scaling ---------------------------------------------------------------

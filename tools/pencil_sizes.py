@@ -1,4 +1,4 @@
-"""Time the pencil determinant three ways on fixed projection tuples.
+"""Time the pencil determinant three ways and its squarefree part two ways.
 
     python3 tools/pencil_sizes.py
 
@@ -15,10 +15,21 @@ REPEAT times, the three ways taking turns:
 - ``per_projection``: `spectrum.pencil_poly`, which scales each P_l by its
   own D_l.
 
+The squarefree part of each pencil is then timed the same way, two ways
+taking turns:
+
+- ``sf_gcd_loop``: `polyalg._squarefree_part_by_gcds`, the multivariate
+  GCDs with the partial derivatives;
+- ``sf``: `polyalg.squarefree_part`, which first tries the squarefreeness
+  certificate on two fixed lines and runs the GCD loop only when it fails.
+
 The ``pool`` case is one pass over the 24 triples of the `pencil` workload;
-the others are single tuples, one at a large d.  Each case prints one JSON
-line with the median and minimum wall seconds of each way, the number of
-pencil terms and a digest of the printed pencil; the three ways must agree.
+the others are single tuples, one at a large d and one with k = 4.  Each
+case prints one JSON line with the median and minimum wall seconds of each
+way, the number of pencil terms, how many pencils the certificate proves
+squarefree, the total degree of the pencils and of their squarefree parts,
+and digests of the printed pencils and squarefree parts; the ways must
+agree.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from jspec import spectrum  # noqa: E402
+from jspec import polyalg, spectrum  # noqa: E402
 from jspec.polyalg import MultiPoly, format_poly  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
@@ -49,6 +60,7 @@ CASES = {
     "n8": (2, [(8, (3, 5, 6), 8)]),
     "n10": (2, [(10, (3, 6, 8), 10)]),
     "n8_large_d": (999999937, [(8, (7, 7, 7), 8)]),
+    "n8_k4": (2, [(8, (2, 4, 5, 6), 84)]),
 }
 
 
@@ -69,6 +81,29 @@ WAYS = {
     "per_projection": lambda projs: spectrum.pencil_poly(projs).pencil,
 }
 
+SF_WAYS = {
+    "sf_gcd_loop": polyalg._squarefree_part_by_gcds,
+    "sf": polyalg.squarefree_part,
+}
+
+
+def timed(ways: dict, inputs: list) -> tuple[dict, dict]:
+    """Outputs of each way on the inputs, and its median and minimum time."""
+    results, times = {}, {way: [] for way in ways}
+    for _ in range(REPEAT):
+        for way, fn in ways.items():
+            start = perf_counter()
+            results[way] = [fn(x) for x in inputs]
+            times[way].append(perf_counter() - start)
+    return results, {way: {"median_s": round(statistics.median(seconds), 4),
+                           "min_s": round(min(seconds), 4)}
+                     for way, seconds in times.items()}
+
+
+def digest(polys: list) -> str:
+    text = "\n".join(format_poly(p) for p in polys)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 
 def main() -> int:
     for name, (d, specs) in CASES.items():
@@ -78,21 +113,23 @@ def main() -> int:
             rng = random.Random(seed)
             tuples.append([random_projection(cfg, r, rng) for r in ranks])
         row = {"case": name, "d": d, "tuples": len(tuples)}
-        results, times = {}, {way: [] for way in WAYS}
-        for _ in range(REPEAT):
-            for way, fn in WAYS.items():
-                start = perf_counter()
-                results[way] = [fn(projs) for projs in tuples]
-                times[way].append(perf_counter() - start)
-        for way, seconds in times.items():
-            row[way] = {"median_s": round(statistics.median(seconds), 4),
-                        "min_s": round(min(seconds), 4)}
+        results, times = timed(WAYS, tuples)
+        row.update(times)
         if not results["reference"] == results["common_d"] \
                 == results["per_projection"]:
             raise SystemExit(f"{name}: the three pencils differ")
-        text = "\n".join(format_poly(p) for p in results["per_projection"])
+        pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
-        row["digest"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        row["digest"] = digest(results["per_projection"])
+        sfs, times = timed(SF_WAYS, pencils)
+        row.update(times)
+        if sfs["sf"] != sfs["sf_gcd_loop"]:
+            raise SystemExit(f"{name}: the squarefree parts differ")
+        row["certified"] = sum(polyalg._certified_squarefree(
+            polyalg.canonicalize(p)) for p in pencils)
+        row["degree"] = [p.total_degree() for p in pencils]
+        row["sf_degree"] = [p.total_degree() for p in sfs["sf"]]
+        row["sf_digest"] = digest(sfs["sf"])
         print(json.dumps(row), flush=True)
     return 0
 
