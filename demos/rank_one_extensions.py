@@ -34,14 +34,14 @@ for name, m in (("unitary swap", swap), ("shear", shear)):
     joined = extend_join(m, plane)
     print(f"  {name:<13} extend_join == direct apply: {direct == joined}")
 
-print("\nthe join is decomposition-independent (checked mode recomputes")
-print("with a second, remixed rank-one decomposition):")
+print("\nthe join is decomposition-independent (a mixer remixes the range")
+print("basis into a second rank-one decomposition):")
 mixer = Matrix([[1, 2], [1, 3]], K)
-checked = extend_join(shear, plane, check=True, mixer=mixer)
-print(f"  same result under mixer [[1,2],[1,3]]: "
-      f"{checked == apply_map(shear, plane)}")
+remixed = extend_join(shear, plane, mixer=mixer)
+print(f"  mixer [[1,2],[1,3]] gives the unmixed join: "
+      f"{remixed == extend_join(shear, plane)}")
 try:
-    extend_join(shear, plane, check=True, mixer=Matrix([[1, 1], [1, 1]], K))
+    extend_join(shear, plane, mixer=Matrix([[1, 1], [1, 1]], K))
 except ValueError as err:
     print(f"  singular mixer is refused: {err}")
 

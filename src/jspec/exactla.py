@@ -108,9 +108,6 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
     def col(self, j: int) -> Vector:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 

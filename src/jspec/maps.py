@@ -223,36 +223,22 @@ def preserves_orthogonality(m: ProjectionMap) -> bool:
 
 
 def extend_join(m: ProjectionMap, p: Projection, *,
-                check: bool = False, mixer: Optional[Matrix] = None) -> Projection:
+                mixer: Optional[Matrix] = None) -> Projection:
     """Join of rank-one images over a rank-one decomposition of p.
 
-    The default decomposition is the stored range basis p.basis; the join
-    of line images is the image of the whole range, whatever basis spans it.
-    With check=True the result is recomputed from a second decomposition
-    (columns remixed by `mixer`, or by a fixed unitriangular mix) and the
-    two must agree; disagreement would mean the extension depends on the
-    decomposition and raises.
+    The decomposition is the columns of the stored range basis p.basis, or
+    of p.basis * mixer for an invertible mixer (a singular one raises
+    ValueError).  The join of line images is the image of the whole range,
+    whatever basis spans it, so every mixer gives the same projection.
     """
     m._check_dim(p)
     if p.is_zero():
         return zero_projection(m.n, m.ctx)
     basis = p.basis
-    result = _join_of_line_images(m, basis)
-    if check:
-        k = basis.ncols
-        if mixer is None:
-            mixer = Matrix([[1 if i <= j else 0 for j in range(k)]
-                            for i in range(k)], m.ctx, ncols=k)
-        elif not mixer.det():
+    if mixer is not None:
+        if not mixer.det():
             raise ValueError("decomposition mixer must be invertible")
-        other = _join_of_line_images(m, basis * mixer)
-        if other != result:
-            raise RuntimeError(
-                "extension depends on the rank-one decomposition")
-    return result
-
-
-def _join_of_line_images(m: ProjectionMap, basis: Matrix) -> Projection:
+        basis = basis * mixer
     lines = [rank_one_image(m, v).basis for v in basis.columns()]
     return Projection(functools.reduce(hstack, lines).colspace_basis())
 

@@ -285,6 +285,10 @@ def divides(divisor: MultiPoly, dividend: MultiPoly) -> bool:
 
 
 def _must_divide(divisor: MultiPoly, dividend: MultiPoly) -> MultiPoly:
+    # The content of a univariate polynomial over K is the canonical 1, and
+    # so is the first divisor g * h^delta of the remainder sequence.
+    if divisor.terms == {(0,) * divisor.nvars: divisor.ctx.one}:
+        return dividend
     q = exact_quotient(divisor, dividend)
     if q is None:
         raise ArithmeticError("division expected to be exact was not")

@@ -128,10 +128,6 @@ class FieldElem:
     # -- basic structure ---------------------------------------------------
 
     @property
-    def d(self) -> int:
-        return self.ctx.d
-
-    @property
     def a(self) -> Fraction:
         return Fraction(self._a, self._den)
 

@@ -105,8 +105,8 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     the last leaves it: no division and no gcd.
     The one normalization is the final product with the scalar D^(-n).
     Scaling each P_l by its own D_l keeps the DP's integers about k times
-    shorter than one common scale would (`tools/pencil_sizes.py` times
-    both).
+    shorter than one common scale would (both were timed side by side; the
+    numbers are in `BENCH_8.json`).
     """
     k, n, ctx = _check_tuple(projs)
     forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]

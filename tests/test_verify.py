@@ -1,14 +1,9 @@
 """Trial suites: determinism, pass/fail behavior, witness search."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
-
-import jspec
 
 from jspec.exactla import Matrix
 from jspec.maps import make_induced, make_unitary_conj, map_from_json
@@ -61,43 +56,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="at most"):
         TrialConfig(n=3, k=MAX_K + 1)
     assert TrialConfig(n=MAX_N, k=MAX_K).n == MAX_N
-    with pytest.raises(ValueError):
-        TrialConfig(n=3, entry_pool=())
-    cfg = TrialConfig(n=3, entry_pool=(1, -1, K.sqrt_d))
-    assert all(x.ctx.d == 2 for x in cfg.entry_pool)
     assert len(default_entry_pool(K)) == 13
-
-
-@pytest.mark.parametrize("pool", [(0,), (1,), (K.i, K.i), ()])
-def test_pool_that_cannot_reach_every_rank_is_rejected(pool):
-    # (0,) made random_vector loop forever, (1,) random_projection at rank 2
-    with pytest.raises(ValueError, match="two distinct entries"):
-        TrialConfig(n=3, trials=2, entry_pool=pool)
-
-
-@pytest.mark.parametrize("pool", [(0, 2), (1, -2), (K.i, K.sqrt_d)])
-def test_two_distinct_entries_reach_every_rank(pool):
-    cfg = TrialConfig(n=3, entry_pool=pool)
-    for rank in range(4):
-        assert random_projection(cfg, rank, trial_rng(1, rank)).rank == rank
-
-
-def test_pool_without_non_scalar_gram_fails_fast():
-    # Over (1, -1) at n = 2 every invertible B has a scalar gram; the draw
-    # used to loop forever, so it runs in a child process with a timeout.
-    code = ("import random\n"
-            "from jspec.verify import TrialConfig, "
-            "random_non_unitary_invertible\n"
-            "random_non_unitary_invertible("
-            "TrialConfig(n=2, entry_pool=(1, -1)), random.Random(1))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(jspec.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=5,
-                          capture_output=True, text=True)
-    assert done.returncode == 1
-    assert done.stderr.strip().splitlines()[-1] == (
-        "ValueError: no invertible matrix with a non-scalar gram in 1000 "
-        "draws from this entry pool")
+    with pytest.raises(TypeError):
+        TrialConfig(n=3, entry_pool=(1, -1))
 
 
 def test_random_projection_rank_and_determinism():
@@ -112,15 +73,17 @@ def test_random_projection_rank_and_determinism():
 
 
 def test_random_matrix_generators():
-    cfg = TrialConfig(n=3, seed=11)
-    rng = trial_rng(cfg.seed, 0)
-    for _ in range(20):
-        u = random_unitary(cfg, rng)
-        assert u.conj_transpose() * u == Matrix.identity(3, K)
-        assert random_invertible(cfg, rng).det()
-        b = random_non_unitary_invertible(cfg, rng)
-        gram = b.conj_transpose() * b
-        assert gram != Matrix.diag([gram[0, 0]] * 3, K)
+    for n in range(2, 7):
+        for d in (2, 3, 5, 999999937):
+            cfg = TrialConfig(n=n, seed=11, d=d)
+            rng = trial_rng(cfg.seed, 0)
+            for _ in range(20):
+                u = random_unitary(cfg, rng)
+                assert u.conj_transpose() * u == Matrix.identity(n, cfg.ctx)
+                assert random_invertible(cfg, rng).det()
+                b = random_non_unitary_invertible(cfg, rng)
+                gram = b.conj_transpose() * b
+                assert gram != Matrix.diag([gram[0, 0]] * n, cfg.ctx)
 
 
 # -- report plumbing ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Time the pencil determinant three ways and its squarefree part two ways.
+"""Time the pencil determinant two ways and its squarefree part two ways.
 
     python3 tools/pencil_sizes.py
 
@@ -6,14 +6,15 @@ Run from the root of a jspec source tree; the program is imported from its
 ``src`` directory and the reference from ``tests``.  Each case is built as
 the benchmark's `pencil` workload builds its triples
 (`verify.random_projection` with a fixed seed), and each way is timed
-REPEAT times, the three ways taking turns:
+REPEAT times, the two ways taking turns:
 
 - ``reference``: the `MultiPoly` subset DP of `tests/reference_pencil.py`,
   which `spectrum.pencil_poly` ran before its DP became fraction-free;
-- ``common_d``: the integer DP with every P_l scaled by one common
-  denominator D;
 - ``per_projection``: `spectrum.pencil_poly`, which scales each P_l by its
   own D_l.
+
+One common denominator D for every P_l was timed as a third way and
+rejected; its numbers are in `BENCH_8.json`.
 
 The squarefree part of each pencil is then timed the same way, two ways
 taking turns:
@@ -40,15 +41,13 @@ import os
 import random
 import statistics
 import sys
-from fractions import Fraction
-from math import lcm
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from jspec import polyalg, spectrum  # noqa: E402
-from jspec.polyalg import MultiPoly, format_poly  # noqa: E402
+from jspec.polyalg import format_poly  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 
@@ -64,20 +63,8 @@ CASES = {
 }
 
 
-def common_d(projs) -> MultiPoly:
-    """The pencil with every P_l scaled by the lcm D of all denominators."""
-    k, n, ctx = spectrum._check_tuple(projs)
-    forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]
-             for p in projs]
-    den = lcm(*(x[4] for rows in forms for row in rows for x in row))
-    terms = {alpha: ctx.elem(*v) for alpha, v in
-             spectrum._integer_pencil(forms, [den] * k, ctx.d).items()}
-    return MultiPoly(k, terms, ctx) * ctx.elem(Fraction(1, den ** n))
-
-
 WAYS = {
     "reference": lambda projs: reference(projs).pencil,
-    "common_d": common_d,
     "per_projection": lambda projs: spectrum.pencil_poly(projs).pencil,
 }
 
@@ -115,9 +102,8 @@ def main() -> int:
         row = {"case": name, "d": d, "tuples": len(tuples)}
         results, times = timed(WAYS, tuples)
         row.update(times)
-        if not results["reference"] == results["common_d"] \
-                == results["per_projection"]:
-            raise SystemExit(f"{name}: the three pencils differ")
+        if results["reference"] != results["per_projection"]:
+            raise SystemExit(f"{name}: the two pencils differ")
         pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
