@@ -1,23 +1,25 @@
 """Exact dense linear algebra over K = Q(i, sqrt(d)).
 
 Matrices are immutable row-major arrays of K-scalars and all computation is
-exact: determinants by fraction-free Bareiss elimination (with a naive
-Leibniz expansion kept as a cross-check oracle), rank and kernels by
-Gauss-Jordan reduction, and column spaces canonicalized to a reduced column
-echelon basis, so equal subspaces have equal bases.  The projection onto a
-column space is A (A*A)^{-1} A*, found with one RREF, which never leaves K.
+exact: determinants by fraction-free Bareiss elimination, rank and kernels
+by Gauss-Jordan reduction, and column spaces canonicalized to a reduced
+column echelon basis, so equal subspaces have equal bases.  The projection
+onto a column space is A (A*A)^{-1} A*, found by fraction-free Gauss-Jordan
+on the integral Gram matrix, which never leaves Z[i, sqrt(d)] until one
+division per entry at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from jspec.scalar import (
     Automorphism,
     FieldContext,
     FieldElem,
+    _reduced,
     format_scalar,
     parse_scalar,
 )
@@ -282,22 +284,6 @@ class Matrix:
 # -- module-level operations ---------------------------------------------------
 
 
-def det_leibniz(m: Matrix) -> FieldElem:
-    """Determinant by permutation expansion; oracle for Matrix.det."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    total = m.ctx.zero
-    for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        term = m.ctx.one if inversions % 2 == 0 else -m.ctx.one
-        for i in range(n):
-            term = term * m.rows[i][perm[i]]
-        total = total + term
-    return total
-
-
 def vdot(x: Sequence[Scalarish], y: Sequence[Scalarish],
          ctx: Optional[FieldContext] = None) -> FieldElem:
     """Inner product conj(x) . y, conjugate-linear in the first slot."""
@@ -318,29 +304,85 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
                   a.ctx, ncols=a.ncols + b.ncols)
 
 
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.ncols:
-        raise ValueError("column count mismatch")
-    return Matrix([list(r) for r in a.rows] + [list(r) for r in b.rows],
-                  a.ctx, ncols=a.ncols)
-
-
 def projection_onto(a: Matrix) -> Matrix:
     """The matrix of the orthogonal projection onto the column space of a.
 
-    Computed as a (a*a)^{-1} a*, staying inside K: one RREF of [a*a | a*]
-    turns the right block into (a*a)^{-1} a*.  Columns must be independent;
-    an empty column list yields the zero projection.
+    Computed as a (a*a)^{-1} a* on integers.  Each column of a is scaled by
+    the lcm of its entry denominators, which keeps its span and puts a and
+    G = a*a in Z[i, sqrt d].  Fraction-free Gauss-Jordan (Bareiss 1968)
+    turns [G | a*] into [det G * I | adj(G) a*]; step k divides exactly by
+    the k-th leading principal minor of G, a real s + t sqrt d.  A zero
+    pivot means dependent columns.  Each entry of the Hermitian
+    a adj(G) a* is divided by det G once.  No columns: the zero projection.
     """
-    if a.ncols == 0:
-        return Matrix.zeros(a.nrows, a.nrows, a.ctx)
-    r = a.ncols
-    a_star = a.conj_transpose()
-    red, pivots = hstack(a_star * a, a_star).rref()
-    if pivots[:r] != tuple(range(r)):
-        # a*a is positive definite exactly when the columns are independent
-        raise ValueError("columns are dependent")
-    return a * Matrix([row[r:] for row in red.rows], a.ctx, ncols=a.nrows)
+    n, r, ctx = a.nrows, a.ncols, a.ctx
+    if r == 0:
+        return Matrix.zeros(n, n, ctx)
+    d = ctx.d
+    cols = [_integral(col) for col in a.columns()]
+    conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
+    m = [[_dot4(conj[j], col, d) for col in cols] + conj[j] for j in range(r)]
+    prev = (1, 0)
+    for k in range(r):
+        piv, top = m[k][k], m[k]
+        if not any(piv):
+            raise ValueError("columns are dependent")
+        for row in m:
+            if row is not top:
+                f = row[k]
+                row[k + 1:] = [
+                    _div_real(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
+                    for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = piv
+    s, t = prev[0], prev[1]  # 1 / det G = (s - t sqrt d) / (s^2 - d t^2)
+    flip, norm = ((s, -t, 0, 0), s * s - d * t * t) if t else \
+        ((1, 0, 0, 0), s)
+    adj = list(zip(*(row[r:] for row in m)))  # columns of adj(G) a*
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a_i = [col[i] for col in cols]
+        for l in range(i, n):
+            x = _mul4(flip, _dot4(a_i, adj[l], d), d)
+            out[i][l] = _reduced(*x, norm, ctx)
+            out[l][i] = out[i][l].conj()
+    return Matrix(out, ctx, ncols=n)
+
+
+def _integral(v: Sequence[FieldElem]) -> list[tuple[int, int, int, int]]:
+    """v times the lcm of its entry denominators, as 4-int tuples."""
+    forms = [x.integer_form() for x in v]
+    den = lcm(*(x[4] for x in forms))
+    return [tuple(c * (den // x[4]) for c in x[:4]) for x in forms]
+
+
+def _mul4(x: tuple, y: tuple, d: int) -> tuple[int, int, int, int]:
+    """Product of 4-int tuples (A, B, C, E) in Z[i, sqrt d], as FieldElem's."""
+    a1, b1, c1, e1 = x
+    a2, b2, c2, e2 = y
+    return (a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2),
+            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+            a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+            a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2)
+
+
+def _sub4(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    return x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]
+
+
+def _dot4(xs: Sequence[tuple], ys: Sequence[tuple], d: int) -> tuple:
+    a = b = c = e = 0
+    for x, y in zip(xs, ys):
+        p = _mul4(x, y, d)
+        a, b, c, e = a + p[0], b + p[1], c + p[2], e + p[3]
+    return a, b, c, e
+
+
+def _div_real(x: tuple, w: tuple, d: int) -> tuple[int, int, int, int]:
+    """x / w for w = s + t sqrt d, when the quotient lies in Z[i, sqrt d]."""
+    s, t = w[0], w[1]
+    if t:
+        x, s = _mul4(x, (s, -t, 0, 0), d), s * s - d * t * t
+    return x[0] // s, x[1] // s, x[2] // s, x[3] // s
 
 
 def gram_schmidt(a: Matrix) -> Matrix:

@@ -1,15 +1,15 @@
 """The lattice of orthogonal projections on K^n.
 
 A Projection is built from a basis of its range; its matrix A (A*A)^{-1} A*
-is Hermitian and idempotent by construction, so nothing is checked.  A
-matrix from outside (a JSON file, a sum of images) comes in through
-make_projection, the one place that checks it.  Each subspace of K^n has
-exactly one projection matrix, which makes projection equality plain matrix
-equality, and lets meet and join be computed exactly: join is the
-projection onto the sum of ranges, spanned by the reduced column echelon
-basis (Matrix.colspace_basis) of the two range bases side by side, and
-meet the projection onto the intersection, found as the common kernel of
-the two complements.
+is Hermitian and idempotent by construction, so nothing is checked, and it
+is built only when first read.  A matrix from outside (a JSON file, a sum
+of images) comes in through make_projection, the one place that checks it.
+Each subspace of K^n has exactly one projection matrix, which makes
+projection equality plain matrix equality.  Meet and join work on range
+bases alone: join is the projection onto the sum of ranges, spanned by the
+reduced column echelon basis (Matrix.colspace_basis) of the two range bases
+side by side, and meet the projection onto the intersection of ranges,
+read off the kernel of the two range bases side by side.
 """
 
 from __future__ import annotations
@@ -25,29 +25,40 @@ from jspec.exactla import (
     matrix_from_json,
     matrix_to_json,
     projection_onto,
-    vstack,
 )
 from jspec.scalar import FieldContext
 
 
 class Projection:
-    """The orthogonal projection onto the span of basis (independent columns)."""
+    """The orthogonal projection onto the span of basis (independent columns).
 
-    __slots__ = ("basis", "matrix")
+    Nothing checks the basis.  The matrix is built on first use (`.matrix`
+    and every method that reads it, such as == and hash) and cached, and a
+    dependent basis raises ValueError there; rank, n and ctx come from the
+    basis, so they never build it.
+    """
+
+    __slots__ = ("basis", "_matrix")
 
     def __init__(self, basis: Matrix):
         self.basis = basis
-        self.matrix = projection_onto(basis)
+        self._matrix: Optional[Matrix] = None
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._matrix = projection_onto(self.basis)
+        return self._matrix
+
+    @property
     def n(self) -> int:
-        return self.matrix.nrows
+        return self.basis.nrows
 
     @property
     def ctx(self) -> FieldContext:
-        return self.matrix.ctx
+        return self.basis.ctx
 
     @property
     def rank(self) -> int:
@@ -74,7 +85,7 @@ class Projection:
     # -- lattice operations ----------------------------------------------------
 
     def complement(self) -> "Projection":
-        return Projection(self.matrix.kernel_basis())
+        return Projection(self.basis.conj_transpose().kernel_basis())
 
     def join(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) + Range(other)."""
@@ -84,13 +95,14 @@ class Projection:
     def meet(self, other: "Projection") -> "Projection":
         """Projection onto Range(self) ∩ Range(other).
 
-        A vector lies in both ranges iff both complements kill it, so the
-        intersection is the kernel of the stacked complements.
+        Bp x lies in both ranges iff Bp x + Bq y = 0 for some y, so the
+        x-halves of a kernel basis of [Bp | Bq] map onto a basis of the
+        intersection: Bp x = 0 forces x = 0, then Bq y = 0 forces y = 0.
         """
         self._same_space(other)
-        ident = Matrix.identity(self.n, self.ctx)
-        stacked = vstack(ident - self.matrix, ident - other.matrix)
-        return Projection(stacked.kernel_basis())
+        kernel = hstack(self.basis, other.basis).kernel_basis()
+        top = Matrix(kernel.rows[:self.rank], self.ctx, ncols=kernel.ncols)
+        return Projection(self.basis * top)
 
     def leq(self, other: "Projection") -> bool:
         """Range containment: true iff self.matrix * other.matrix = self.matrix."""

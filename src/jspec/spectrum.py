@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from typing import Optional, Sequence
 
@@ -190,24 +189,6 @@ def _integer_pencil(forms: Sequence[list[list[tuple[int, ...]]]],
     low = (1 << width) - 1
     return {tuple((key >> (width * l)) & low for l in range(k)): v
             for key, v in states.get((1 << n) - 1, {}).items()}
-
-
-def pencil_poly_leibniz(projs: Sequence[Projection]) -> MultiPoly:
-    """Pencil polynomial by raw permutation expansion; oracle for pencil_poly."""
-    k, n, ctx = _check_tuple(projs)
-    entry = [[MultiPoly(k, {
-        tuple(1 if m == l else 0 for m in range(k)): p.matrix[i, j]
-        for l, p in enumerate(projs) if p.matrix[i, j]}, ctx)
-        for j in range(n)] for i in range(n)]
-    total = MultiPoly.zero(k, ctx)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        term = MultiPoly.const(k, -1 if inversions % 2 else 1, ctx)
-        for i in range(n):
-            term = term * entry[i][perm[i]]
-        total = total + term
-    return total
 
 
 # -- zero-set comparison -----------------------------------------------------------

@@ -395,13 +395,20 @@ def _run_trials(suite: str, cfg: TrialConfig, trial,
     """Run cfg.trials seeded trials and collect their violations.
 
     trial(index, rng) yields one (message, data) pair per violation it
-    finds; it may update counters, which the report embeds afterwards.
+    finds, or returns None for a degenerate draw, which is not a trial; it
+    may update counters, which the report embeds afterwards.
     """
     violations = []
-    for index in range(cfg.trials):
-        for message, data in trial(index, trial_rng(cfg.seed, index)):
-            violations.append(Violation(index, trial_seed(cfg.seed, index),
-                                        message, data))
+    index = completed = 0
+    while completed < cfg.trials:
+        if index >= cfg.trials * 50 + 100:
+            raise RuntimeError("too many degenerate draws; widen the pool")
+        found = trial(index, trial_rng(cfg.seed, index))
+        if found is not None:
+            completed += 1
+            violations += [Violation(index, trial_seed(cfg.seed, index),
+                                     message, data) for message, data in found]
+        index += 1
     return VerificationReport(suite, cfg, cfg.trials, violations, counters,
                               m=m)
 
@@ -557,17 +564,10 @@ def check_two_projection_sum_identity(cfg: TrialConfig) -> VerificationReport:
     t = 2 exactly.  Draws where F kills every candidate xi are skipped and
     counted, never silently dropped.
     """
-    violations = []
     counters = {"pinned": 0, "skipped": 0}
-    completed = 0
-    index = -1
-    limit = cfg.trials * 50 + 100
-    while completed < cfg.trials:
-        index += 1
-        if index >= limit:
-            raise RuntimeError("too many degenerate draws; widen the pool")
-        rng = trial_rng(cfg.seed, index)
-        pinned = completed % 10 == 9
+
+    def trial(index, rng):
+        pinned = (index - counters["skipped"]) % 10 == 9
         e = random_projection(cfg, rng.randint(1, cfg.n - 1), rng)
         f = e if pinned else random_projection(
             cfg, rng.randint(1, cfg.n - 1), rng)
@@ -579,7 +579,7 @@ def check_two_projection_sum_identity(cfg: TrialConfig) -> VerificationReport:
                 break
         if xi is None:
             counters["skipped"] += 1
-            continue
+            return None
         fxi = f.matrix.matvec(xi)
         norm_xi = vdot(xi, xi, cfg.ctx)
         c2 = vdot(fxi, fxi, cfg.ctx) / norm_xi
@@ -599,14 +599,11 @@ def check_two_projection_sum_identity(cfg: TrialConfig) -> VerificationReport:
             counters["pinned"] += 1
             if c2 != 1 or t != 2:
                 problems.append("pinned instance missed c2 = 1, t = 2")
-        if problems:
-            violations.append(Violation(
-                index, trial_seed(cfg.seed, index), "; ".join(problems),
-                {"E": projection_to_json(e), "F": projection_to_json(f),
-                 "xi": [format_scalar(x) for x in xi]}))
-        completed += 1
-    return VerificationReport("two-projection-sum-identity", cfg, cfg.trials,
-                              violations, counters)
+        return [("; ".join(problems),
+                 {"E": projection_to_json(e), "F": projection_to_json(f),
+                  "xi": [format_scalar(x) for x in xi]})] if problems else []
+
+    return _run_trials("two-projection-sum-identity", cfg, trial, counters)
 
 
 def check_rank_join_preservation(m: ProjectionMap,

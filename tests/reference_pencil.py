@@ -1,14 +1,18 @@
-"""Reference pencil: the subset DP over `MultiPoly`s of `FieldElem`s.
+"""Reference pencils: the subset DP over `MultiPoly`s of `FieldElem`s, and
+the Leibniz expansion.
 
-This is the pencil determinant jspec computed before its DP moved to integer
-coefficients: `spectrum.pencil_poly` now scales each P_l by the lcm D_l of
-its own entry denominators, runs the DP on Z[i, sqrt d], and rescales at the
-end.  This DP is kept unchanged as the oracle for the differential test in
-`tests/test_spectrum.py` and is not used by the package itself.
+`pencil_poly` is the pencil determinant jspec computed before its DP moved
+to integer coefficients: `spectrum.pencil_poly` now scales each P_l by the
+lcm D_l of its own entry denominators, runs the DP on Z[i, sqrt d], and
+rescales at the end.  `pencil_poly_leibniz` expands the determinant over all
+n! permutations.  Both are kept as oracles for the differential tests in
+`tests/test_spectrum.py` and `tests/test_acceptance.py` and are not used by
+the package itself.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Sequence
 
 from jspec.lattice import Projection
@@ -57,3 +61,21 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
             break
     pencil = states.get((1 << n) - 1, zero)
     return JointSpectrum(k, n, pencil)
+
+
+def pencil_poly_leibniz(projs: Sequence[Projection]) -> MultiPoly:
+    """Pencil polynomial by raw permutation expansion."""
+    k, n, ctx = _check_tuple(projs)
+    entry = [[MultiPoly(k, {
+        tuple(1 if m == l else 0 for m in range(k)): p.matrix[i, j]
+        for l, p in enumerate(projs) if p.matrix[i, j]}, ctx)
+        for j in range(n)] for i in range(n)]
+    total = MultiPoly.zero(k, ctx)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                         if perm[a] > perm[b])
+        term = MultiPoly.const(k, -1 if inversions % 2 else 1, ctx)
+        for i in range(n):
+            term = term * entry[i][perm[i]]
+        total = total + term
+    return total

@@ -10,11 +10,13 @@ import json
 import random
 import time
 
-from jspec.exactla import Matrix, det_leibniz
+from reference_linalg import det_leibniz
+from reference_pencil import pencil_poly_leibniz
+from jspec.exactla import Matrix
 from jspec.lattice import rank_one
 from jspec.maps import make_induced, make_unitary_conj
 from jspec.scalar import Automorphism, FieldContext
-from jspec.spectrum import pencil_poly, pencil_poly_leibniz
+from jspec.spectrum import pencil_poly
 from jspec.verify import (
     TrialConfig,
     check_extension_consistency,

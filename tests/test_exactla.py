@@ -7,17 +7,16 @@ import pytest
 from jspec.exactla import (
     Matrix,
     automorphism_entrywise,
-    det_leibniz,
     gram_schmidt,
     hstack,
     matrix_from_json,
     matrix_to_json,
     projection_onto,
     vdot,
-    vstack,
 )
 from jspec.scalar import ALL_AUTOMORPHISMS, FieldContext, Automorphism
 from fractions import Fraction
+from reference_linalg import det_leibniz, vstack
 
 K = FieldContext(2)
 I_ = K.i

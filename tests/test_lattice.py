@@ -69,14 +69,25 @@ def test_construction_rejects_bad_matrices():
         make_projection(Matrix.zeros(2, 3, K))
     with pytest.raises(ValueError, match="needs a nonzero vector"):
         rank_one([K.zero, K.zero])
+    # a dependent basis is rejected when the matrix is first built
+    dependent = Projection(Matrix([[1, 2], [1, 2]], K))
     with pytest.raises(ValueError, match="columns are dependent"):
-        Projection(Matrix([[1, 2], [1, 2]], K))
+        dependent.matrix
 
 
 def test_projection_of_no_columns_is_zero():
     p = Projection(Matrix.from_columns([], K, nrows=3))
     assert p == zero_projection(3, K)
     assert p.rank == 0
+
+
+def test_rank_queries_build_no_matrix():
+    p = rank_one([K.one, R_, K.zero])
+    q = rank_one([K.one, K.zero, I_])
+    join, meet, comp = p.join(q), p.meet(q), p.complement()
+    assert (join.rank, meet.rank, comp.rank, join.n) == (2, 0, 2, 3)
+    assert all(x._matrix is None for x in (p, q, join, meet, comp))
+    assert join.matrix is join.matrix  # built once, then cached
 
 
 def test_range_roundtrip():

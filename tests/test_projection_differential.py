@@ -5,20 +5,31 @@ and run no check.  Each is compared here with the projection matrix the
 textbook formula gives (U*PU, conj(U*PU), I - P, the projection onto the
 joined column spans), passed through the checked make_projection.  The
 projection onto a basis itself is compared with a (a*a)^{-1} a*, the
-inverse taken by Gauss-Jordan on [a*a | I].
+inverse taken by Gauss-Jordan on [a*a | I], and with the RREF of
+[a*a | a*] kept in `tests/reference_linalg.py`, rejections of dependent
+columns included.  Meet is compared with the kernel of the stacked
+complements kept there, and with the modular law
+rank(P v Q) + rank(P ^ Q) = rank P + rank Q.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_linalg
 from jspec.exactla import (
     Matrix,
     automorphism_entrywise,
     hstack,
     projection_onto,
 )
-from jspec.lattice import Projection, make_projection
+from jspec.lattice import (
+    Projection,
+    identity_projection,
+    make_projection,
+    zero_projection,
+)
 from jspec.maps import AntiUnitaryConjMap, InducedMap, UnitaryConjMap
 from jspec.scalar import ALL_AUTOMORPHISMS, Automorphism, FieldContext
 from jspec.verify import TrialConfig, random_invertible, random_unitary
@@ -113,3 +124,95 @@ def test_projection_onto_is_the_orthogonal_projection(case):
     assert p * a == a
     assert projection_onto(a * change) == p
     assert p == _gram_inverse_formula(a)
+
+
+# -- rewritten layers against their oracles -------------------------------------
+
+FIELDS = [FieldContext(d) for d in (2, 3, 5, 999999937)]
+
+
+def _entries(ctx):
+    """Entries with and without denominators, i and sqrt d."""
+    one, i, r = ctx.one, ctx.i, ctx.sqrt_d
+    third = ctx.elem(Fraction(1, 3))
+    mixed = ctx.elem(Fraction(-5, 2), 1, 0, Fraction(1, 4))
+    return (ctx.zero, ctx.zero, one, -one, ctx.elem(2), third, i, -i, r,
+            one + i, one - r, r * i, mixed)
+
+
+@st.composite
+def column_lists(draw):
+    """n x r columns over a random d, 0 <= r <= n <= 6; in about half of
+    those with r >= 2 the last column is a combination of the first two."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.sampled_from(range(1, 7)))
+    r = draw(st.sampled_from(range(n + 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _entries(ctx)
+    cols = [[rng.choice(pool) for _ in range(n)] for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        f = rng.choice(pool)
+        cols[-1] = [x + f * y for x, y in zip(cols[0], cols[1])]
+    return Matrix.from_columns(cols, ctx, nrows=n)
+
+
+def _outcome(build, a):
+    try:
+        return build(a)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_lists())
+def test_projection_onto_matches_rref_oracle(a):
+    got = _outcome(projection_onto, a)
+    assert got == _outcome(reference_linalg.projection_onto, a)
+    assert (got == "columns are dependent") == (a.rank() < a.ncols)
+
+
+def _independent(ctx, n, r, rng, head=()):
+    """n x r independent columns whose first ones are the columns in head."""
+    pool = _entries(ctx)
+    while True:
+        cols = list(head) + [[rng.choice(pool) for _ in range(n)]
+                             for _ in range(r - len(head))]
+        a = Matrix.from_columns(cols, ctx, nrows=n)
+        if a.rank() == r:
+            return a
+
+
+@st.composite
+def pairs(draw):
+    """(P, Q) over a random d with n <= 6: P = Q, a zero or identity side,
+    or Q's range sharing a drawn number of combinations of P's basis."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.sampled_from(range(1, 7)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rp = draw(st.sampled_from(range(n + 1)))
+    p = Projection(_independent(ctx, n, rp, rng))
+    kind = draw(st.sampled_from(["same", "zero", "identity", "shared"]))
+    if kind == "zero":
+        return p, zero_projection(n, ctx)
+    if kind == "identity":
+        return identity_projection(n, ctx), p
+    # another basis of Range(P), whose first `shared` columns Q's range holds
+    other = p.basis * random_invertible(TrialConfig(n=2, d=ctx.d), rng,
+                                        size=rp) if rp else p.basis
+    if kind == "same":
+        return p, Projection(other)
+    shared = draw(st.sampled_from(range(rp + 1)))
+    rq = draw(st.sampled_from(range(shared, n + 1)))
+    return p, Projection(_independent(ctx, n, rq, rng,
+                                      other.columns()[:shared]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+def test_meet_matches_complement_oracle_and_modular_law(pq):
+    p, q = pq
+    meet = p.meet(q)
+    assert meet == reference_linalg.meet(p, q)
+    assert meet.leq(p) and meet.leq(q)
+    assert p.join(q).rank + meet.rank == p.rank + q.rank
+    assert q.meet(p) == meet

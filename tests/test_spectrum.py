@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_pencil
+from reference_pencil import pencil_poly_leibniz
 from jspec.exactla import Matrix, projection_onto
 from jspec.lattice import (
     Projection,
@@ -23,7 +24,6 @@ from jspec.spectrum import (
     classify_rank_one_tuple,
     pair_facts,
     pencil_poly,
-    pencil_poly_leibniz,
     tuple_from_json,
     tuple_to_json,
     zero_set_equal,
