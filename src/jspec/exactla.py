@@ -73,6 +73,30 @@ class Matrix:
         self.ncols = ncols
         self.ctx = ctx
 
+    @classmethod
+    def _of(cls, rows: Iterable[Sequence[FieldElem]], ctx: FieldContext,
+            ncols: int) -> "Matrix":
+        """A matrix from rows of FieldElems over ctx, with no entry check.
+
+        Only for matrices built here from entries of checked matrices:
+        products, sums, transposes, RREF results and the like.  Outside
+        input goes through __init__.
+        """
+        m = cls.__new__(cls)
+        m.rows = tuple(map(tuple, rows))
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        m.ctx = ctx
+        return m
+
+    @classmethod
+    def _of_columns(cls, cols: Sequence[Vector], ctx: FieldContext,
+                    nrows: int) -> "Matrix":
+        """`from_columns` for vectors of FieldElems over ctx, unchecked."""
+        if not cols:
+            return cls._of([()] * nrows, ctx, 0)
+        return cls._of(zip(*cols), ctx, len(cols))
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -145,21 +169,21 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[x + y for x, y in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)],
-                      self.ctx, ncols=self.ncols)
+        return Matrix._of([[x + y for x, y in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows)],
+                          self.ctx, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[x - y for x, y in zip(r, s)]
-                       for r, s in zip(self.rows, other.rows)],
-                      self.ctx, ncols=self.ncols)
+        return Matrix._of([[x - y for x, y in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows)],
+                          self.ctx, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.rows],
-                      self.ctx, ncols=self.ncols)
+        return Matrix._of([[-x for x in r] for r in self.rows],
+                          self.ctx, self.ncols)
 
     def __mul__(self, other: object) -> "Matrix":
         if isinstance(other, Matrix):
@@ -177,11 +201,11 @@ class Matrix:
                         acc = acc + self.rows[i][k] * other.rows[k][j]
                     row.append(acc)
                 out.append(row)
-            return Matrix(out, self.ctx, ncols=other.ncols)
+            return Matrix._of(out, self.ctx, other.ncols)
         if isinstance(other, (FieldElem, int, Fraction)):
             s = _as_elem(other, self.ctx)
-            return Matrix([[x * s for x in r] for r in self.rows],
-                          self.ctx, ncols=self.ncols)
+            return Matrix._of([[x * s for x in r] for r in self.rows],
+                              self.ctx, self.ncols)
         return NotImplemented
 
     def __rmul__(self, other: object) -> "Matrix":
@@ -199,12 +223,12 @@ class Matrix:
             for i in range(self.nrows))
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], self.ctx, ncols=self.nrows)
+        return Matrix._of(zip(*self.rows) if self.nrows else
+                          [()] * self.ncols, self.ctx, self.nrows)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j].conj() for i in range(self.nrows)]
-                       for j in range(self.ncols)], self.ctx, ncols=self.nrows)
+        return Matrix._of([[self.rows[i][j].conj() for i in range(self.nrows)]
+                           for j in range(self.ncols)], self.ctx, self.nrows)
 
     # -- elimination -----------------------------------------------------------
 
@@ -252,7 +276,7 @@ class Matrix:
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
             pivots.append(col)
             pr += 1
-        return Matrix(rows, self.ctx, ncols=self.ncols), tuple(pivots)
+        return Matrix._of(rows, self.ctx, self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -268,7 +292,7 @@ class Matrix:
             for r, p in enumerate(pivots):
                 v[p] = -red.rows[r][f]
             cols.append(tuple(v))
-        return Matrix.from_columns(cols, self.ctx, nrows=self.ncols)
+        return Matrix._of_columns(cols, self.ctx, self.ncols)
 
     def colspace_basis(self) -> "Matrix":
         """The reduced column echelon basis of the column space.
@@ -277,8 +301,8 @@ class Matrix:
         column space iff their colspace_basis() values are equal.
         """
         red, pivots = self.transpose().rref()
-        return Matrix.from_columns(red.rows[:len(pivots)], self.ctx,
-                                   nrows=self.nrows)
+        return Matrix._of_columns(red.rows[:len(pivots)], self.ctx,
+                                  self.nrows)
 
 
 # -- module-level operations ---------------------------------------------------
@@ -300,8 +324,10 @@ def vdot(x: Sequence[Scalarish], y: Sequence[Scalarish],
 def hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch")
-    return Matrix([list(r) + list(s) for r, s in zip(a.rows, b.rows)],
-                  a.ctx, ncols=a.ncols + b.ncols)
+    if a.ctx.d != b.ctx.d:
+        raise ValueError(f"entry from d={b.ctx.d} in a d={a.ctx.d} matrix")
+    return Matrix._of([r + s for r, s in zip(a.rows, b.rows)],
+                      a.ctx, a.ncols + b.ncols)
 
 
 def projection_onto(a: Matrix) -> Matrix:
@@ -345,7 +371,7 @@ def projection_onto(a: Matrix) -> Matrix:
             x = _mul4(flip, _dot4(a_i, adj[l], d), d)
             out[i][l] = _reduced(*x, norm, ctx)
             out[l][i] = out[i][l].conj()
-    return Matrix(out, ctx, ncols=n)
+    return Matrix._of(out, ctx, n)
 
 
 def _integral(v: Sequence[FieldElem]) -> list[tuple[int, int, int, int]]:
@@ -399,13 +425,13 @@ def gram_schmidt(a: Matrix) -> Matrix:
             v = [x - coef * y for x, y in zip(v, u)]
         if any(v):
             us.append(tuple(v))
-    return Matrix.from_columns(us, a.ctx, nrows=a.nrows)
+    return Matrix._of_columns(us, a.ctx, a.nrows)
 
 
 def automorphism_entrywise(f: Automorphism, m: Matrix) -> Matrix:
     """Apply a field automorphism to every entry."""
-    return Matrix([[f(x) for x in row] for row in m.rows],
-                  m.ctx, ncols=m.ncols)
+    return Matrix._of([[f(x) for x in row] for row in m.rows],
+                      m.ctx, m.ncols)
 
 
 # -- text form -------------------------------------------------------------

@@ -101,7 +101,7 @@ class Projection:
         """
         self._same_space(other)
         kernel = hstack(self.basis, other.basis).kernel_basis()
-        top = Matrix(kernel.rows[:self.rank], self.ctx, ncols=kernel.ncols)
+        top = Matrix._of(kernel.rows[:self.rank], self.ctx, kernel.ncols)
         return Projection(self.basis * top)
 
     def leq(self, other: "Projection") -> bool:

@@ -284,3 +284,20 @@ def test_matrix_shape_errors():
         Matrix.zeros(2, 3, K) * Matrix.zeros(2, 3, K)
     with pytest.raises(ValueError):
         Matrix([[FieldContext(3).one, K.one]])
+
+
+def test_derived_matrices_equal_checked_ones():
+    """Results built without the entry check equal the checked constructor's."""
+    rng = random.Random(3101)
+    other = FieldContext(3)
+    for _ in range(30):
+        a = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        b = random_matrix(rng, a.nrows, rng.randint(0, 3))
+        for m in (a.transpose(), a.conj_transpose(), -a, a + a, a * K.i,
+                  a.rref()[0], a.kernel_basis(), a.colspace_basis(),
+                  hstack(a, b), a.transpose() * a):
+            assert m == Matrix([list(r) for r in m.rows], K, ncols=m.ncols)
+            assert len(m.rows) == m.nrows
+            assert all(len(r) == m.ncols for r in m.rows)
+    with pytest.raises(ValueError, match="d=3 in a d=2"):
+        hstack(Matrix.identity(2, K), Matrix.identity(2, other))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_pencil
 from reference_pencil import pencil_poly_leibniz
+from jspec import spectrum
 from jspec.exactla import Matrix, projection_onto
 from jspec.lattice import (
     Projection,
@@ -16,7 +17,7 @@ from jspec.lattice import (
     zero_projection,
 )
 from jspec.polyalg import MultiPoly, canonicalize
-from jspec.scalar import FieldContext
+from jspec.scalar import Automorphism, FieldContext
 from jspec.spectrum import (
     JointSpectrum,
     PairFacts,
@@ -156,8 +157,132 @@ def tuples(draw, max_n, max_n_large_d):
 @settings(max_examples=100, deadline=None)
 @given(tuples(max_n=8, max_n_large_d=6))
 def test_pencil_matches_reference_dp(projs):
-    assert pencil_poly(projs).pencil == reference_pencil.pencil_poly(
-        projs).pencil
+    pencil = pencil_poly(projs).pencil
+    assert pencil == reference_pencil.pencil_poly(projs).pencil
+    # Cauchy-Binet: each coefficient is a sum of |det U_S|^2 / prod |u_j|^2
+    # over orthogonal range bases u_j, so it lies in Q(sqrt d) and is >= 0
+    # in both real embeddings.
+    for coef in pencil.terms.values():
+        assert coef.is_real()
+        assert coef.real_sign() >= 0
+        assert Automorphism.FLIP(coef).real_sign() >= 0
+
+
+@st.composite
+def layout_tuples(draw):
+    """`tuples`, or n random lines on K^n (the `lemma41` shape), n <= 8."""
+    if draw(st.booleans()):
+        return draw(tuples(max_n=8, max_n_large_d=6))
+    d = draw(st.sampled_from([2, 999999937]))
+    ctx = FieldContext(d)
+    n = draw(st.integers(1, 8 if d < 10 else 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    lines = []
+    while len(lines) < n:
+        v = [rng.choice(pool) for _ in range(n)]
+        if any(v):
+            lines.append(rank_one(v, ctx))
+    return lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout_tuples())
+def test_packed_and_dict_layouts_agree(projs):
+    """Both DP layouts on the same scaled forms, whichever one would run.
+
+    Small d keeps the slots narrow (mostly packed); d = 999999937 makes
+    them wide (dict).  Zero and identity members, zero pencils and
+    dependent lines all occur.
+    """
+    k, _, ctx = spectrum._check_tuple(projs)
+    entry, _ = spectrum._scaled_entries(projs)
+    ranks = [p.rank for p in projs]
+    w = spectrum._slot_width(entry, ctx.d)
+    packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
+    assert packed == spectrum._dict_dp(entry, k, ctx.d)
+    assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
+
+
+def test_layout_choice_follows_the_cost_model():
+    limit = spectrum._width_limit
+    assert 233 <= limit(7, (2, 4, 6))  # a `pencil` triple at d = 2
+    assert 109 <= limit(10, (1,) * 10)  # n = k = 10 lines
+    assert 2985 > limit(8, (7, 7, 7))  # d = 999999937
+    assert 871 > limit(12, (9, 9, 9))
+    # ten rank-6 members of K^12: the box has 7^9 digits, the dict far fewer
+    assert 70 > limit(12, (6,) * 10)
+
+
+def test_packed_decode_raises_past_its_bound():
+    """A slot too narrow for a coefficient raises instead of misreading it."""
+    p = diag_projection([1, 0])
+    q = rank_one([K.one, K.elem(2)])  # D Q = [[1, 2], [2, 4]]
+    entry, _ = spectrum._scaled_entries([p, q])
+    assert spectrum._dict_dp(entry, 2, 2) == {(1, 1): (4, 0, 0, 0)}
+    assert spectrum._packed_dp(entry, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
+    with pytest.raises(RuntimeError, match="proven bound"):
+        spectrum._packed_dp(entry, [1, 1], 2, 2)
+
+
+@st.composite
+def projection_pairs(draw):
+    """(P, Q) on K^n, n = 2..6, with Q = P or sharing subspaces with P."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    ctx = FieldContext(d)
+    n = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+
+    def span(cols):
+        if not cols:
+            return zero_projection(n, ctx)
+        return Projection(Matrix.from_columns(cols, ctx).colspace_basis())
+
+    def draw_cols(count):
+        return [[rng.choice(pool) for _ in range(n)] for _ in range(count)]
+
+    p = span(draw_cols(draw(st.integers(0, n))))
+    kind = draw(st.sampled_from(["random", "same", "shared"]))
+    if kind == "same":
+        return p, span(p.basis.columns())
+    if kind == "random":
+        return p, span(draw_cols(draw(st.integers(0, n))))
+    # Q keeps some of Range(P) and of Ker(P) and adds random columns
+    ran, ker = p.basis.columns(), p.complement().basis.columns()
+    cols = (ran[:draw(st.integers(0, len(ran)))]
+            + ker[:draw(st.integers(0, len(ker)))]
+            + draw_cols(draw(st.integers(0, 2))))
+    return p, span(cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(projection_pairs())
+def test_pencil_of_two_projections_matches_halmos(pair):
+    """Halmos's two-subspace theorem decides every k = 2 pencil.
+
+    K^n splits into R(P)∩N(Q), N(P)∩R(Q), R(P)∩R(Q), N(P)∩N(Q) of
+    dimensions a, b, m, z and a generic part of dimension 2g, on which the
+    pair is g blocks [[1, 0], [0, 0]] and [[cos², cs], [cs, sin²]] with
+    determinant c1 c2 sin²: so det(c1 P + c2 Q) = K c1^(a+g) c2^(b+g)
+    (c1 + c2)^m with K the real positive product of the sin², or 0 iff z > 0.
+    """
+    p, q = pair
+    n, ctx = p.n, p.ctx
+    pc, qc = p.complement(), q.complement()
+    a, b = p.meet(qc).rank, pc.meet(q).rank
+    m, z = p.meet(q).rank, pc.meet(qc).rank
+    g, odd = divmod(n - a - b - m - z, 2)
+    assert odd == 0 and g >= 0
+    pencil = pencil_poly([p, q]).pencil
+    if z:
+        assert pencil.is_zero()
+        return
+    c1, c2 = MultiPoly.variable(0, 2, ctx), MultiPoly.variable(1, 2, ctx)
+    shape = c1 ** (a + g) * c2 ** (b + g) * (c1 + c2) ** m
+    scale = pencil.terms[(a + g, b + g + m)]
+    assert scale.is_real() and scale.real_sign() > 0
+    assert pencil == shape * MultiPoly.const(2, scale, ctx)
 
 
 @settings(max_examples=60, deadline=None)

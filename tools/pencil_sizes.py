@@ -1,4 +1,4 @@
-"""Time the pencil determinant two ways and its squarefree part two ways.
+"""Time the pencil determinant, its two DP layouts and its squarefree part.
 
     python3 tools/pencil_sizes.py
 
@@ -14,7 +14,18 @@ REPEAT times, the two ways taking turns:
   own D_l.
 
 One common denominator D for every P_l was timed as a third way and
-rejected; its numbers are in `BENCH_8.json`.
+rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
+on the largest cases, so those (``repeat`` below REPEAT) skip it, and time
+only ``sf``, once.
+
+The subset DP alone is then timed in its two layouts on the same scaled
+entries (`spectrum._scaled_entries`), taking turns:
+
+- ``packed``: `spectrum._packed_dp`, each state four ints of w-bit slots;
+- ``dict``: `spectrum._dict_dp`, each state a dict of monomials.
+
+Each row gives the slot width w of every tuple and the layout that
+`pencil_poly` takes for it: packed iff w <= `spectrum._width_limit`.
 
 The squarefree part of each pencil is then timed the same way, two ways
 taking turns:
@@ -25,12 +36,13 @@ taking turns:
   certificate on two fixed lines and runs the GCD loop only when it fails.
 
 The ``pool`` case is one pass over the 24 triples of the `pencil` workload;
-the others are single tuples, one at a large d and one with k = 4.  Each
+the others are single tuples: two at a large d, one with k = 4, n = k = 10
+rank-one lines (the `lemma41` shape) and n = 12 at ranks (9, 9, 9).  Each
 case prints one JSON line with the median and minimum wall seconds of each
 way, the number of pencil terms, how many pencils the certificate proves
 squarefree, the total degree of the pencils and of their squarefree parts,
 and digests of the printed pencils and squarefree parts; the ways must
-agree.
+agree, and so must the two layouts.
 """
 
 from __future__ import annotations
@@ -52,14 +64,17 @@ from jspec.verify import TrialConfig, random_projection  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 
 REPEAT = 5
-# name: (d, [(n, ranks, seed), ...])
+# name: (d, [(n, ranks, seed), ...], repeat)
 CASES = {
     "pool": (2, [(6, (2, 3, 4), 1000 + i) for i in range(16)]
-             + [(7, (2, 4, 6), 2000 + i) for i in range(8)]),
-    "n8": (2, [(8, (3, 5, 6), 8)]),
-    "n10": (2, [(10, (3, 6, 8), 10)]),
-    "n8_large_d": (999999937, [(8, (7, 7, 7), 8)]),
-    "n8_k4": (2, [(8, (2, 4, 5, 6), 84)]),
+             + [(7, (2, 4, 6), 2000 + i) for i in range(8)], REPEAT),
+    "n8": (2, [(8, (3, 5, 6), 8)], REPEAT),
+    "n10": (2, [(10, (3, 6, 8), 10)], REPEAT),
+    "n8_large_d": (999999937, [(8, (7, 7, 7), 8)], REPEAT),
+    "n8_k4": (2, [(8, (2, 4, 5, 6), 84)], REPEAT),
+    "n7_large_d": (999999937, [(7, (2, 4, 6), 7)], REPEAT),
+    "n10_rank_one": (2, [(10, (1,) * 10, 10)], 3),
+    "n12": (2, [(12, (9, 9, 9), 12)], 3),
 }
 
 
@@ -68,16 +83,21 @@ WAYS = {
     "per_projection": lambda projs: spectrum.pencil_poly(projs).pencil,
 }
 
+LAYOUTS = {
+    "packed": lambda x: spectrum._packed_dp(*x),
+    "dict": lambda x: spectrum._dict_dp(x[0], len(x[1]), x[2]),
+}
+
 SF_WAYS = {
     "sf_gcd_loop": polyalg._squarefree_part_by_gcds,
     "sf": polyalg.squarefree_part,
 }
 
 
-def timed(ways: dict, inputs: list) -> tuple[dict, dict]:
+def timed(ways: dict, inputs: list, repeat: int) -> tuple[dict, dict]:
     """Outputs of each way on the inputs, and its median and minimum time."""
     results, times = {}, {way: [] for way in ways}
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         for way, fn in ways.items():
             start = perf_counter()
             results[way] = [fn(x) for x in inputs]
@@ -93,23 +113,42 @@ def digest(polys: list) -> str:
 
 
 def main() -> int:
-    for name, (d, specs) in CASES.items():
+    for name, (d, specs, repeat) in CASES.items():
         tuples = []
         for n, ranks, seed in specs:
             cfg = TrialConfig(n=n, k=len(ranks), d=d)
             rng = random.Random(seed)
             tuples.append([random_projection(cfg, r, rng) for r in ranks])
-        row = {"case": name, "d": d, "tuples": len(tuples)}
-        results, times = timed(WAYS, tuples)
+        row = {"case": name, "d": d, "tuples": len(tuples), "repeat": repeat}
+        ways = WAYS if repeat == REPEAT else {
+            "per_projection": WAYS["per_projection"]}
+        results, times = timed(ways, tuples, repeat)
         row.update(times)
-        if results["reference"] != results["per_projection"]:
+        if results.get("reference", results["per_projection"]) != \
+                results["per_projection"]:
             raise SystemExit(f"{name}: the two pencils differ")
+        dps = []
+        for projs in tuples:
+            entry = spectrum._scaled_entries(projs)[0]
+            ranks = [p.rank for p in projs]
+            dps.append((entry, ranks, d, spectrum._slot_width(entry, d)))
+        row["w"] = [x[3] for x in dps]
+        row["layout"] = [
+            "packed" if x[3] <= spectrum._width_limit(len(x[0]), tuple(x[1]))
+            else "dict" for x in dps]
+        layouts, times = timed(LAYOUTS, dps, repeat)
+        row.update(times)
+        if layouts["packed"] != layouts["dict"]:
+            raise SystemExit(f"{name}: the two layouts differ")
         pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
-        sfs, times = timed(SF_WAYS, pencils)
+        # The n = 12 pencil is not certified, so `sf` runs the GCD loop,
+        # for a minute and a half: the large cases time `sf` once.
+        sf_ways = SF_WAYS if repeat == REPEAT else {"sf": SF_WAYS["sf"]}
+        sfs, times = timed(sf_ways, pencils, repeat if repeat == REPEAT else 1)
         row.update(times)
-        if sfs["sf"] != sfs["sf_gcd_loop"]:
+        if sfs.get("sf_gcd_loop", sfs["sf"]) != sfs["sf"]:
             raise SystemExit(f"{name}: the squarefree parts differ")
         row["certified"] = sum(polyalg._certified_squarefree(
             polyalg.canonicalize(p)) for p in pencils)
