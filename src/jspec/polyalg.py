@@ -64,6 +64,21 @@ class MultiPoly:
         self.terms = clean
         self.ctx = ctx
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Expts, FieldElem],
+            ctx: FieldContext) -> "MultiPoly":
+        """A polynomial from a term map, with no check, taking ownership.
+
+        Only for terms built here from checked polynomials: every exponent
+        vector has nvars nonnegative entries and no coefficient is zero.
+        Outside input goes through __init__.
+        """
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p.ctx = ctx
+        return p
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -164,11 +179,11 @@ class MultiPoly:
                     terms[expts] = s
                 else:
                     del terms[expts]
-        return MultiPoly(self.nvars, terms, self.ctx)
+        return MultiPoly._of(self.nvars, terms, self.ctx)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars,
-                         {e: -c for e, c in self.terms.items()}, self.ctx)
+        return MultiPoly._of(self.nvars,
+                             {e: -c for e, c in self.terms.items()}, self.ctx)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -180,9 +195,9 @@ class MultiPoly:
             s = other if isinstance(other, FieldElem) else self.ctx.elem(other)
             if not s:
                 return MultiPoly.zero(self.nvars, self.ctx)
-            return MultiPoly(self.nvars,
-                             {e: c * s for e, c in self.terms.items()},
-                             self.ctx)
+            return MultiPoly._of(self.nvars,
+                                 {e: c * s for e, c in self.terms.items()},
+                                 self.ctx)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
@@ -201,7 +216,7 @@ class MultiPoly:
                         terms[expts] = s
                     else:
                         del terms[expts]
-        return MultiPoly(self.nvars, terms, self.ctx)
+        return MultiPoly._of(self.nvars, terms, self.ctx)
 
     def __rmul__(self, other: object) -> "MultiPoly":
         if isinstance(other, (FieldElem, int, Fraction)):
@@ -245,7 +260,7 @@ class MultiPoly:
                 lowered = tuple(v - 1 if j == index else v
                                 for j, v in enumerate(expts))
                 terms[lowered] = coef * e
-        return MultiPoly(self.nvars, terms, self.ctx)
+        return MultiPoly._of(self.nvars, terms, self.ctx)
 
 
 # -- division -------------------------------------------------------------------
@@ -276,7 +291,7 @@ def exact_quotient(divisor: MultiPoly,
         qc = rc * lead_c_inv
         quotient[qe] = qc
         rem = rem - divisor * MultiPoly.monomial(qe, qc, rem.ctx)
-    return MultiPoly(dividend.nvars, quotient, dividend.ctx)
+    return MultiPoly._of(dividend.nvars, quotient, dividend.ctx)
 
 
 def divides(divisor: MultiPoly, dividend: MultiPoly) -> bool:
@@ -313,7 +328,7 @@ def _to_univar(p: MultiPoly, index: int) -> _UniList:
         e = expts[index]
         rest = tuple(0 if j == index else v for j, v in enumerate(expts))
         coeffs[e][rest] = coef
-    return [MultiPoly(p.nvars, t, p.ctx) for t in coeffs]
+    return [MultiPoly._of(p.nvars, t, p.ctx) for t in coeffs]
 
 
 def _from_univar(coeffs: _UniList, index: int, nvars: int,

@@ -350,6 +350,40 @@ def _difference(x: FieldElem, y: FieldElem) -> FieldElem:
                     d1 * d2, x.ctx)
 
 
+def _mul4(x: tuple, y: tuple, d: int) -> tuple[int, int, int, int]:
+    """Product of 4-int tuples (A, B, C, E) in Z[i, sqrt d], as FieldElem's.
+
+    (u1 + v1*i)(u2 + v2*i) with u, v in Z[sqrt(d)]: real part
+    u1*u2 - v1*v2, imaginary part u1*v2 + v1*u2.
+    """
+    a1, b1, c1, e1 = x
+    a2, b2, c2, e2 = y
+    return (a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2),
+            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+            a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
+            a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2)
+
+
+def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:
+    """x - f*y with one `_reduced`: the product stays unreduced over its
+    denominator until the difference is formed.  Same rational-factor
+    shortcut as `FieldElem.__mul__`."""
+    fa, fb, fc, fe = f._a, f._b, f._c, f._e
+    ya, yb, yc, ye = y._a, y._b, y._c, y._e
+    if not (fb or fc or fe):
+        pa, pb, pc, pe = fa * ya, fa * yb, fa * yc, fa * ye
+    elif not (yb or yc or ye):
+        pa, pb, pc, pe = ya * fa, ya * fb, ya * fc, ya * fe
+    else:
+        pa, pb, pc, pe = _mul4((fa, fb, fc, fe), (ya, yb, yc, ye), x.ctx.d)
+    d1, d2 = x._den, f._den * y._den
+    if d1 == d2:
+        return _reduced(x._a - pa, x._b - pb, x._c - pc, x._e - pe, d1, x.ctx)
+    return _reduced(x._a * d2 - pa * d1, x._b * d2 - pb * d1,
+                    x._c * d2 - pc * d1, x._e * d2 - pe * d1,
+                    d1 * d2, x.ctx)
+
+
 class Automorphism(enum.Enum):
     """The four field automorphisms of K, each an involution commuting with conj."""
 

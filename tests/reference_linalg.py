@@ -2,6 +2,9 @@
 
 - `det_leibniz`, the determinant by permutation expansion, checks
   `Matrix.det` (Bareiss).
+- `rref_reference` is the Gauss-Jordan `Matrix.rref` ran before it
+  updated only the live entries of each row: every row is rebuilt in full
+  at every pivot, with a separate product and difference per entry.
 - `projection_onto` is the projection formula jspec used before it moved
   to fraction-free integer elimination: one RREF of [a*a | a*] over K.
 - `meet` is the meet jspec used before it intersected range bases: the
@@ -34,6 +37,29 @@ def det_leibniz(m: Matrix) -> FieldElem:
             term = term * m.rows[i][perm[i]]
         total = total + term
     return total
+
+
+def rref_reference(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    rows = [list(r) for r in m.rows]
+    pivots: list[int] = []
+    pr = 0
+    for col in range(m.ncols):
+        if pr == m.nrows:
+            break
+        piv = next((r for r in range(pr, m.nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = rows[pr][col].inv()
+        rows[pr] = [x * inv for x in rows[pr]]
+        for r in range(m.nrows):
+            if r != pr and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(col)
+        pr += 1
+    return Matrix(rows, m.ctx, ncols=m.ncols), tuple(pivots)
 
 
 def projection_onto(a: Matrix) -> Matrix:

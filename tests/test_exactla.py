@@ -1,8 +1,10 @@
 """Determinants, elimination, subspaces and the projection formula."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jspec.exactla import (
     Matrix,
@@ -14,9 +16,9 @@ from jspec.exactla import (
     projection_onto,
     vdot,
 )
-from jspec.scalar import ALL_AUTOMORPHISMS, FieldContext, Automorphism
+from jspec.scalar import ALL_AUTOMORPHISMS, FieldContext, Automorphism, _sub_mul
 from fractions import Fraction
-from reference_linalg import det_leibniz, vstack
+from reference_linalg import det_leibniz, rref_reference, vstack
 
 K = FieldContext(2)
 I_ = K.i
@@ -102,6 +104,88 @@ def test_kernel_is_annihilated():
         if ker.ncols:
             assert (m * ker).is_zero()
         assert ker.rank() == ker.ncols
+
+
+# -- elimination against the full-row oracle --------------------------------------
+
+FIELDS = {d: FieldContext(d) for d in (2, 3, 5, 999999937)}
+RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+def rationals(ctx):
+    return RATIONALS.map(ctx.elem)
+
+
+def irrationals(ctx):
+    """Scalars with a nonzero sqrt(d), i or sqrt(d)*i part."""
+    return st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS).filter(
+        lambda t: any(t[1:])).map(lambda t: ctx.elem(*t))
+
+
+def scalars(ctx):
+    return st.one_of(st.just(ctx.zero), rationals(ctx), irrationals(ctx))
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Matrices up to 6 x 8 with zero rows and columns and dependent rows."""
+    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    rows = [[draw(scalars(ctx)) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "dependent")))
+        if kind == "zero":
+            rows[i] = [ctx.zero] * ncols
+        elif kind == "dependent" and i >= 1:
+            f, g = draw(scalars(ctx)), draw(scalars(ctx))
+            s, t = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [f * x + g * y for x, y in zip(rows[s], rows[t])]
+    for j in draw(st.lists(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < ncols:
+                row[j] = ctx.zero
+    return Matrix(rows, ctx, ncols=ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_full_row_oracle(m):
+    """rref, rank, kernel and column space equal the full-row Gauss-Jordan."""
+    red, pivots = rref_reference(m)
+    assert m.rref() == (red, pivots)
+    with mock.patch.object(Matrix, "rref", rref_reference):
+        expected = (m.rank(), m.kernel_basis(), m.colspace_basis())
+    assert (m.rank(), m.kernel_basis(), m.colspace_basis()) == expected
+    assert m.rank() == len(pivots)
+
+
+@st.composite
+def sub_mul_branches(draw):
+    """(branch, x, f, y): f rational, y rational, or both irrational."""
+    ctx = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    branch = draw(st.sampled_from(("rational f", "rational y", "general")))
+    f = draw(rationals(ctx) if branch == "rational f" else irrationals(ctx))
+    y = draw(rationals(ctx) if branch == "rational y" else
+             scalars(ctx) if branch == "rational f" else irrationals(ctx))
+    return branch, draw(scalars(ctx)), f, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(sub_mul_branches())
+def test_sub_mul_is_difference_of_product(case):
+    _, x, f, y = case
+    assert _sub_mul(x, f, y) == x - f * y
+
+
+def test_sub_mul_fixed_branches():
+    x = K.elem(Fraction(1, 3), 1)
+    for f, y in ((K.elem(Fraction(-2, 5)), 1 + R_ + I_),  # rational f
+                 (1 + I_, K.elem(Fraction(3, 7))),         # rational y
+                 (1 - R_ * I_, Fraction(1, 2) + I_)):      # general
+        assert _sub_mul(x, f, y) == x - f * y
+    assert _sub_mul(K.one, K.one, K.one) == K.zero
 
 
 # -- conjugate transpose ----------------------------------------------------------

@@ -127,6 +127,24 @@ def test_nvars_mismatch_rejected():
         MultiPoly(2, {(1, 0, 0): K.one}, K)
 
 
+def test_derived_polynomials_equal_checked_ones():
+    """Results built without the term check equal the checked constructor's."""
+    rng = random.Random(3003)
+    for _ in range(60):
+        p, q = random_poly(rng), random_poly(rng)
+        results = [p + q, p + (-p), -p, p - q, p * K.i, p * 3,
+                   p * Fraction(-1, 2), p * q, p * MultiPoly.zero(3, K)]
+        results += [p.partial_derivative(j) for j in range(3)]
+        results += [polyalg._to_univar(p * q, j)[e]
+                    for j in range(3) for e in range((p * q).degree_in(j) + 1)]
+        if q:
+            results.append(exact_quotient(q, p * q))
+        for r in results:
+            assert r == MultiPoly(r.nvars, dict(r.terms), r.ctx)
+            assert all(r.terms.values())
+            assert all(len(e) == r.nvars and min(e) >= 0 for e in r.terms)
+
+
 # -- division ------------------------------------------------------------------
 
 
