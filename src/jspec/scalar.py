@@ -365,9 +365,12 @@ def _mul4(x: tuple, y: tuple, d: int) -> tuple[int, int, int, int]:
 
 
 def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:
-    """x - f*y with one `_reduced`: the product stays unreduced over its
-    denominator until the difference is formed.  Same rational-factor
-    shortcut as `FieldElem.__mul__`."""
+    """x - f*y with one `_reduced` instead of two.
+
+    The product stays unreduced over f's and y's denominators until the
+    difference is formed.  Same rational-factor shortcut as
+    `FieldElem.__mul__`; the general case is `_mul4`.
+    """
     fa, fb, fc, fe = f._a, f._b, f._c, f._e
     ya, yb, yc, ye = y._a, y._b, y._c, y._e
     if not (fb or fc or fe):
