@@ -4,10 +4,14 @@ Polynomials in c1..ck with K-scalar coefficients, stored as a map from
 exponent vectors to nonzero coefficients.  The term order everywhere is
 graded lexicographic, which fixes a canonical leading term and hence a
 canonical monic scaling.  GCD works by recursion on variables: split off the
-content, then run a subresultant polynomial remainder sequence in the main
-variable; the squarefree part follows by dividing out the GCD of a
-polynomial with its partial derivatives.  All division steps are exact and
-checked.
+content, the GCD of the coefficients in the main variable, then run a
+subresultant polynomial remainder sequence in the main variable on whole
+polynomials.  When only the main variable occurs, the content is a unit of
+K and is never computed.  The squarefree part follows by dividing out the
+GCD of a polynomial with its partial derivatives.  All division steps are
+exact and checked.  In one variable every leading coefficient, shift and
+divisor of the remainder sequence is a monomial, which `MultiPoly.__mul__`
+and `exact_quotient` take term by term.
 
 Most polynomials whose squarefree part is asked for are already squarefree,
 so `squarefree_part` first tries a certificate: restricted to a fixed line
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from jspec.scalar import (
     FieldContext,
@@ -201,6 +205,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # a monomial factor shifts distinct exponents to distinct ones,
+            # and a product of nonzero scalars is nonzero
+            many, one = (self, other) if len(other.terms) == 1 \
+                else (other, self)
+            (e2, c2), = one.terms.items()
+            return MultiPoly._of(
+                self.nvars,
+                {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+                 for e1, c1 in many.terms.items()}, self.ctx)
         terms: dict[Expts, FieldElem] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -272,7 +286,7 @@ def exact_quotient(divisor: MultiPoly,
 
     Division by a single polynomial leaves a unique remainder, so the first
     leading term the divisor's leading monomial cannot reach settles the
-    question negatively.
+    question negatively.  A monomial divisor divides term by term.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -282,6 +296,13 @@ def exact_quotient(divisor: MultiPoly,
     lead_e, lead_c = divisor.leading_term()
     lead_c_inv = lead_c.inv()
     quotient: dict[Expts, FieldElem] = {}
+    if len(divisor.terms) == 1:
+        for expts, coef in dividend.terms.items():
+            qe = tuple(a - b for a, b in zip(expts, lead_e))
+            if any(x < 0 for x in qe):
+                return None
+            quotient[qe] = coef * lead_c_inv
+        return MultiPoly._of(dividend.nvars, quotient, dividend.ctx)
     rem = dividend
     while rem:
         re, rc = rem.leading_term()
@@ -300,8 +321,8 @@ def divides(divisor: MultiPoly, dividend: MultiPoly) -> bool:
 
 
 def _must_divide(divisor: MultiPoly, dividend: MultiPoly) -> MultiPoly:
-    # The content of a univariate polynomial over K is the canonical 1, and
-    # so is the first divisor g * h^delta of the remainder sequence.
+    # Contents are often the canonical 1, and so is the first divisor
+    # g * h^delta of the remainder sequence.
     if divisor.terms == {(0,) * divisor.nvars: divisor.ctx.one}:
         return dividend
     q = exact_quotient(divisor, dividend)
@@ -312,16 +333,15 @@ def _must_divide(divisor: MultiPoly, dividend: MultiPoly) -> MultiPoly:
 
 # -- GCD -------------------------------------------------------------------------
 #
-# Univariate view in a main variable: a polynomial becomes a coefficient list
-# indexed by the main-variable degree, each coefficient a MultiPoly with the
-# main variable absent.  Contents split off recursively; the primitive parts
-# go through a subresultant remainder sequence, whose interior divisions are
-# exact by the subresultant theorem.
-
-_UniList = list[MultiPoly]
+# Recursion on variables.  The main variable x is the first one p involves,
+# and the coefficients of p in x are polynomials in the other variables.
+# Their GCD, the content, splits off recursively; the primitive parts go
+# through a subresultant remainder sequence in x on whole polynomials, whose
+# divisions are exact by the subresultant theorem.
 
 
-def _to_univar(p: MultiPoly, index: int) -> _UniList:
+def _to_univar(p: MultiPoly, index: int) -> list[MultiPoly]:
+    """The coefficients of p in the variable index, low degree first."""
     deg = p.degree_in(index)
     coeffs: list[dict[Expts, FieldElem]] = [{} for _ in range(deg + 1)]
     for expts, coef in p.terms.items():
@@ -331,27 +351,28 @@ def _to_univar(p: MultiPoly, index: int) -> _UniList:
     return [MultiPoly._of(p.nvars, t, p.ctx) for t in coeffs]
 
 
-def _from_univar(coeffs: _UniList, index: int, nvars: int,
-                 ctx: FieldContext) -> MultiPoly:
-    total = MultiPoly.zero(nvars, ctx)
-    for e, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        shift = tuple(e if j == index else 0 for j in range(nvars))
-        total = total + c * MultiPoly.monomial(shift, 1, ctx)
-    return total
+def _split(p: MultiPoly, index: int, e: int,
+           shift: int = 0) -> tuple[MultiPoly, MultiPoly]:
+    """(t * x^shift, r) with p = t * x^e + r, for x the variable index.
+
+    e is the degree of p in x, so t is the leading coefficient of p in x
+    and r has degree below e in x.
+    """
+    top: dict[Expts, FieldElem] = {}
+    rest: dict[Expts, FieldElem] = {}
+    for expts, coef in p.terms.items():
+        if expts[index] == e:
+            top[expts[:index] + (shift,) + expts[index + 1:]] = coef
+        else:
+            rest[expts] = coef
+    return (MultiPoly._of(p.nvars, top, p.ctx),
+            MultiPoly._of(p.nvars, rest, p.ctx))
 
 
-def _trim(coeffs: _UniList) -> _UniList:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _content(coeffs: Iterable[MultiPoly], nvars: int,
-             ctx: FieldContext) -> MultiPoly:
+def _content(p: MultiPoly, index: int) -> MultiPoly:
+    """The canonical GCD of p's coefficients in the variable index."""
     acc: Optional[MultiPoly] = None
-    for c in coeffs:
+    for c in _to_univar(p, index):
         if c.is_zero():
             continue
         acc = c if acc is None else gcd(acc, c)
@@ -362,52 +383,65 @@ def _content(coeffs: Iterable[MultiPoly], nvars: int,
     return canonicalize(acc)
 
 
-def _pseudo_rem(a: _UniList, b: _UniList) -> _UniList:
-    """lc(b)^(deg a - deg b + 1) * a reduced modulo b, all divisions avoided."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[db]
-    rem = list(a)
+def _pseudo_remainder(a: MultiPoly, b: MultiPoly, index: int) -> MultiPoly:
+    """lc(b)^(deg a - deg b + 1) * a reduced modulo b in the variable index.
+
+    Each step cancels the top coefficient t of the remainder r with no
+    division: r * lc(b) - b * t * x^(deg r - deg b).  The top terms of the
+    two products cancel, so they are never formed: only the lower parts of
+    r and b are multiplied.
+    """
+    da, db = a.degree_in(index), b.degree_in(index)
+    lead, b_rest = _split(b, index, db)
+    rem, dr = a, da
     steps = da - db + 1
-    while rem and len(rem) - 1 >= db:
-        k = len(rem) - 1 - db
-        top = rem[-1]
-        rem = [c * lead for c in rem[:-1]]
-        for j, bc in enumerate(b[:-1]):
-            rem[j + k] = rem[j + k] - top * bc
-        _trim(rem)
+    while rem and dr >= db:
+        top, rest = _split(rem, index, dr, dr - db)
+        rem = rest * lead - b_rest * top
+        dr = rem.degree_in(index)
         steps -= 1
     if steps > 0 and rem:
-        factor = lead ** steps
-        rem = [c * factor for c in rem]
+        rem = rem * lead ** steps
     return rem
 
 
-def _subresultant_prs_gcd(a: _UniList, b: _UniList, index: int,
-                          nvars: int, ctx: FieldContext) -> MultiPoly:
-    """GCD of two primitive univariate-view polynomials, returned primitive."""
-    if len(a) < len(b):
-        a, b = b, a
-    one = MultiPoly.const(nvars, 1, ctx)
-    g = one
-    h = one
+def _subresultant_prs_gcd(a: MultiPoly, b: MultiPoly,
+                          index: int) -> MultiPoly:
+    """The last nonzero remainder of the subresultant PRS of a and b in x.
+
+    x is the variable index, and a and b have positive degree in x and are
+    primitive: their coefficients in x have no common factor.  gcd(a, b) is
+    the primitive part of the result, which is the constant 1 when the GCD
+    has degree 0 in x.  The sequence (Collins 1967; Brown-Traub 1971) runs
+    on whole polynomials.  Each step takes the pseudo-remainder r of a by
+    b, with delta = deg a - deg b, and replaces (a, b) by
+    (b, r / (g * h^delta)); then g becomes the leading coefficient of the
+    new a in x and h becomes g^delta / h^(delta - 1), both starting at 1.
+    Each division is one `exact_quotient` of a whole polynomial and is
+    exact by the subresultant theorem, so integral input keeps every
+    remainder integral.
+    """
+    da, db = a.degree_in(index), b.degree_in(index)
+    if da < db:
+        a, b, da, db = b, a, db, da
+    one = MultiPoly.const(a.nvars, 1, a.ctx)
+    g = h = one
     while True:
-        delta = (len(a) - 1) - (len(b) - 1)
-        rem = _pseudo_rem(a, b)
+        delta = da - db
+        rem = _pseudo_remainder(a, b, index)
         if not rem:
-            break
-        if len(rem) == 1:
+            return b
+        dr = rem.degree_in(index)
+        if dr == 0:
             return one
         divisor = g * h ** delta
-        a = b
-        b = [_must_divide(divisor, c) for c in rem]
-        g = a[-1]
+        a, da = b, db
+        b, db = _must_divide(divisor, rem), dr
+        g = _split(a, index, da)[0]
         if delta == 1:
             h = g
         elif delta > 1:
             h = _must_divide(h ** (delta - 1), g ** delta)
-    result = _from_univar(b, index, nvars, ctx)
-    cont = _content(b, nvars, ctx)
-    return _must_divide(cont, result)
 
 
 def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -419,22 +453,22 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return canonicalize(q)
     if q.is_zero():
         return canonicalize(p)
-    one = MultiPoly.const(p.nvars, 1, p.ctx)
     if p.is_constant() or q.is_constant():
-        return one
+        return MultiPoly.const(p.nvars, 1, p.ctx)
     index = next(j for j in range(p.nvars) if p.degree_in(j) > 0)
     if q.degree_in(index) == 0:
         # the main variable is absent from q, so only p's content matters
-        cont_p = _content(_to_univar(p, index), p.nvars, p.ctx)
-        return gcd(cont_p, q)
-    up, uq = _to_univar(p, index), _to_univar(q, index)
-    cont_p = _content(up, p.nvars, p.ctx)
-    cont_q = _content(uq, p.nvars, p.ctx)
-    cont = gcd(cont_p, cont_q)
-    pp_p = [_must_divide(cont_p, c) for c in up]
-    pp_q = [_must_divide(cont_q, c) for c in uq]
-    pp_gcd = _subresultant_prs_gcd(pp_p, pp_q, index, p.nvars, p.ctx)
-    return canonicalize(cont * pp_gcd)
+        return gcd(_content(p, index), q)
+    if all(sum(e) == e[index] for e in p.terms) and \
+            all(sum(e) == e[index] for e in q.terms):
+        # only the main variable occurs: the contents are nonzero scalars,
+        # units of K, and so is the content of the remainder
+        return canonicalize(_subresultant_prs_gcd(p, q, index))
+    cont_p, cont_q = _content(p, index), _content(q, index)
+    last = _subresultant_prs_gcd(_must_divide(cont_p, p),
+                                 _must_divide(cont_q, q), index)
+    pp = _must_divide(_content(last, index), last)
+    return canonicalize(gcd(cont_p, cont_q) * pp)
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -590,7 +624,7 @@ def format_poly(p: MultiPoly) -> str:
         vars_part = "*".join(
             f"c{j + 1}" if e == 1 else f"c{j + 1}^{e}"
             for j, e in enumerate(expts) if e)
-        components = [x for x in (coef.a, coef.b, coef.c, coef.e) if x]
+        components = [x for x in coef.integer_form()[:4] if x]
         if len(components) > 1:
             sign = "+"
             coef_part = f"({format_scalar(coef)})"

@@ -330,6 +330,8 @@ def _canonical(a: int, b: int, c: int, e: int, den: int,
 def _reduced(a: int, b: int, c: int, e: int, den: int,
              ctx: FieldContext) -> FieldElem:
     """The element (a + b*sqrt(d) + (c + e*sqrt(d))*i) / den, for den > 0."""
+    if den == 1:  # integral elements need no gcd
+        return _canonical(a, b, c, e, 1, ctx)
     g = gcd(a, b, c, e, den)
     if g != 1:
         a //= g
@@ -577,26 +579,19 @@ class _ScalarParser(_Parser):
 def format_scalar(x: FieldElem) -> str:
     """Canonical text form: rational part, r-term, i-term, r*i-term.
 
-    Zero components are omitted; the zero element prints as "0".  The output
-    reparses to an equal element.
+    Zero components are omitted; the zero element prints as "0".  Each
+    component prints as its reduced fraction, with the magnitude 1 left off
+    a unit.  The output reparses to an equal element.
     """
-    parts: list[tuple[Fraction, str]] = []
-    for comp, unit in ((x.a, ""), (x.b, "r"), (x.c, "i"), (x.e, "r*i")):
-        if comp:
-            parts.append((comp, unit))
-    if not parts:
-        return "0"
+    den = x._den
     out: list[str] = []
-    for idx, (comp, unit) in enumerate(parts):
-        mag = abs(comp)
-        if not unit:
-            body = str(mag)
-        elif mag == 1:
-            body = unit
-        else:
-            body = f"{mag}*{unit}"
-        if idx == 0:
-            out.append(f"-{body}" if comp < 0 else body)
-        else:
-            out.append(f"-{body}" if comp < 0 else f"+{body}")
-    return "".join(out)
+    for num, unit in ((x._a, ""), (x._b, "r"), (x._c, "i"), (x._e, "r*i")):
+        if not num:
+            continue
+        g = gcd(num, den)
+        mag, q = abs(num) // g, den // g
+        body = str(mag) if q == 1 else f"{mag}/{q}"
+        if unit:
+            body = unit if body == "1" else f"{body}*{unit}"
+        out.append(f"-{body}" if num < 0 else f"+{body}" if out else body)
+    return "".join(out) or "0"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_polyalg
 from jspec import polyalg
 from jspec.polyalg import (
     MultiPoly,
@@ -482,6 +483,60 @@ def test_squarefree_matches_sympy_sqf_part():
         p, _ = case
         expected = sympy.sqf_part(to_sympy(p, sympy))
         assert to_sympy(squarefree_part(p), sympy).monic() == expected.monic()
+
+    check()
+
+
+# -- gcd oracles: the list-view remainder sequence and sympy ---------------------
+
+
+GCD_FIELDS = [FieldContext(d) for d in (2, 3, 999999937)]
+
+
+@st.composite
+def poly_in(draw, ctx, nvars, variables, max_deg=2, max_terms=3):
+    """A nonzero polynomial in which only the given variables occur."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
+        expts = [0] * nvars
+        for j in variables:
+            expts[j] = draw(st.integers(min_value=0, max_value=max_deg))
+        terms[tuple(expts)] = draw(st.sampled_from(coefficient_pool(ctx)))
+    return MultiPoly(nvars, terms, ctx)
+
+
+@st.composite
+def planted_gcd_cases(draw):
+    """(u * w, v * w, w) with a planted common factor w.
+
+    Univariate and bivariate inputs, and three-variable inputs in which one
+    variable occurs, which `gcd` takes through its unit-content shortcut.
+    """
+    ctx = draw(st.sampled_from(GCD_FIELDS))
+    nvars, variables = draw(st.sampled_from(
+        [(1, (0,)), (2, (0, 1)), (3, (0,)), (3, (1,)), (3, (2,))]))
+    u, v, w = (draw(poly_in(ctx, nvars, variables)) for _ in range(3))
+    return u * w, v * w, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_gcd_cases())
+def test_gcd_matches_list_view_reference(case):
+    p, q, w = case
+    got = gcd(p, q)
+    assert got == reference_polyalg.gcd(p, q)
+    assert divides(got, p) and divides(got, q) and divides(w, got)
+
+
+def test_gcd_matches_sympy_gcd():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=25, deadline=None)
+    @given(planted_gcd_cases())
+    def check(case):
+        p, q, _ = case
+        expected = sympy.gcd(to_sympy(p, sympy), to_sympy(q, sympy))
+        assert to_sympy(gcd(p, q), sympy).monic() == expected.monic()
 
     check()
 

@@ -225,6 +225,29 @@ def test_format_fixed_examples():
     assert format_scalar(K.elem(0, 0, 0, Fraction(5, 3))) == "5/3*r*i"
 
 
+def test_format_fixed_signs_fractions_and_unit_magnitudes():
+    # negative and fractional components over a shared denominator
+    assert format_scalar(K.elem(-7)) == "-7"
+    assert format_scalar(K.elem(Fraction(-3, 4))) == "-3/4"
+    assert format_scalar(K.elem(Fraction(-1, 6), Fraction(1, 3), Fraction(-1, 2),
+                                Fraction(2, 3))) == "-1/6+1/3*r-1/2*i+2/3*r*i"
+    assert format_scalar(K.elem(Fraction(1, 2), -3, 0, Fraction(-9, 4))) == \
+        "1/2-3*r-9/4*r*i"
+    assert format_scalar(K.elem(0, Fraction(-5, 2), Fraction(5, 2))) == \
+        "-5/2*r+5/2*i"
+    # magnitude 1 on each unit, with either sign and a non-unit rational part
+    assert format_scalar(K.elem(0, 1)) == "r"
+    assert format_scalar(K.elem(0, -1)) == "-r"
+    assert format_scalar(K.elem(0, 0, 1)) == "i"
+    assert format_scalar(K.elem(0, 0, -1)) == "-i"
+    assert format_scalar(K.elem(0, 0, 0, 1)) == "r*i"
+    assert format_scalar(K.elem(1, 1, 1, 1)) == "1+r+i+r*i"
+    assert format_scalar(K.elem(-1, -1, -1, -1)) == "-1-r-i-r*i"
+    assert format_scalar(K.elem(Fraction(1, 3), 1, -1, 1)) == "1/3+r-i+r*i"
+    assert format_scalar(K.elem(Fraction(1, 3), Fraction(1, 3), 0, -1)) == \
+        "1/3+1/3*r-r*i"
+
+
 def test_parse_errors_carry_position():
     for text in ("", "1 +", "i*i", "r r", "1/0", "3..5", "2 **i", "x", "1 2"):
         with pytest.raises(ParseError) as info:

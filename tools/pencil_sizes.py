@@ -1,8 +1,9 @@
 """Time the pencil determinant, its two DP layouts and its squarefree part.
 
-    python3 tools/pencil_sizes.py
+    python3 tools/pencil_sizes.py [CASE ...]
 
-Run from the root of a jspec source tree; the program is imported from its
+With case names, only those cases run, in the order of CASES.  Run from the
+root of a jspec source tree; the program is imported from its
 ``src`` directory and the reference from ``tests``.  Each case is built as
 the benchmark's `pencil` workload builds its triples
 (`verify.random_projection` with a fixed seed), and each way is timed
@@ -37,7 +38,10 @@ taking turns:
 
 The ``pool`` case is one pass over the 24 triples of the `pencil` workload;
 the others are single tuples: two at a large d, one with k = 4, n = k = 10
-rank-one lines (the `lemma41` shape) and n = 12 at ranks (9, 9, 9).  Each
+rank-one lines (the `lemma41` shape), n = 12 at ranks (9, 9, 9), and two
+at d = 2 whose pencils have a repeated factor, so that the certificate
+fails and ``sf`` runs the GCD loop (``n6_repeated``, ranks (5, 5, 5), and
+``n7_repeated``, ranks (6, 6, 6)).  Each
 case prints one JSON line with the median and minimum wall seconds of each
 way, the number of pencil terms, how many pencils the certificate proves
 squarefree, the total degree of the pencils and of their squarefree parts,
@@ -75,6 +79,8 @@ CASES = {
     "n7_large_d": (999999937, [(7, (2, 4, 6), 7)], REPEAT),
     "n10_rank_one": (2, [(10, (1,) * 10, 10)], 3),
     "n12": (2, [(12, (9, 9, 9), 12)], 3),
+    "n6_repeated": (2, [(6, (5, 5, 5), 6)], REPEAT),
+    "n7_repeated": (2, [(7, (6, 6, 6), 7)], REPEAT),
 }
 
 
@@ -112,8 +118,13 @@ def digest(polys: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; known: {list(CASES)}")
     for name, (d, specs, repeat) in CASES.items():
+        if names and name not in names:
+            continue
         tuples = []
         for n, ranks, seed in specs:
             cfg = TrialConfig(n=n, k=len(ranks), d=d)
@@ -160,4 +171,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
