@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from jspec.scalar import (
     Automorphism,
     FieldContext,
     FieldElem,
+    Scalarish,
     _mul4,
     _reduced,
     _sub_mul,
@@ -30,7 +31,6 @@ from jspec.scalar import (
     parse_scalar,
 )
 
-Scalarish = Union[FieldElem, int, Fraction]
 Vector = tuple[FieldElem, ...]
 
 
@@ -449,7 +449,9 @@ def gram_schmidt(a: Matrix) -> Matrix:
 
 
 def automorphism_entrywise(f: Automorphism, m: Matrix) -> Matrix:
-    """Apply a field automorphism to every entry."""
+    """Apply a field automorphism to every entry (m itself for id)."""
+    if f is Automorphism.ID:
+        return m
     return Matrix._of([[f(x) for x in row] for row in m.rows],
                       m.ctx, m.ncols)
 

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from jspec.exactla import (
     Matrix,
-    Scalarish,
     _as_elem,
     _find_ctx,
     hstack,
@@ -26,7 +25,7 @@ from jspec.exactla import (
     matrix_to_json,
     projection_onto,
 )
-from jspec.scalar import FieldContext
+from jspec.scalar import FieldContext, Scalarish
 
 
 class Projection:

@@ -1,14 +1,15 @@
 """Structured maps on the projection lattice and their rank-one extensions.
 
-Three families: conjugation by a unitary (P -> U*PU), conjugation by an
-anti-unitary (entrywise conjugation composed with the same), and maps induced
-by a field automorphism f together with an invertible basis change B
-(Range(P) -> B * f(Range(P))).  All three send projections to projections
-exactly over K, and each is applied to a basis of the range, so the image
-needs no check.  On top of them sit the two extension schemes that rebuild a
-map from its action on rank-one projections: join of images over any rank-one
-decomposition, and sum of images over an orthogonal decomposition, the latter
-defined only when the map preserves orthogonality.
+Every map is a pair (f, B) of a field automorphism f of K and an invertible
+basis change B, acting by Range(P) -> B * f(Range(P)).  Conjugation by a
+unitary U (P -> U*PU) is (id, U*); conjugation by the anti-unitary, U then
+entrywise conj, is (conj, U^T), since conj(U* x) = U^T conj(x).  A map is
+applied to a basis of the range, so the image is a projection exactly over
+K and needs no check, and its form depends on (f, B) alone.  On top of the
+maps sit the two extension schemes that rebuild a map from its action on
+rank-one projections: join of images over any rank-one decomposition, and
+sum of images over an orthogonal decomposition, the latter defined only
+when the map preserves orthogonality.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional, Sequence
 
 from jspec.exactla import (
     Matrix,
-    Scalarish,
     _as_elem,
     automorphism_entrywise,
     gram_schmidt,
@@ -28,7 +28,7 @@ from jspec.exactla import (
     matrix_to_json,
 )
 from jspec.lattice import Projection, make_projection, rank_one, zero_projection
-from jspec.scalar import Automorphism, FieldContext
+from jspec.scalar import Automorphism, FieldContext, Scalarish
 
 
 class OrthogonalityError(ValueError):
@@ -42,24 +42,38 @@ class MapForm(enum.Enum):
 
 
 class ProjectionMap:
-    """Base for the structured projection maps; immutable, applied by value."""
+    """P -> projection onto B * f(Range(P)); immutable, applied by value.
 
-    __slots__ = ("n", "ctx")
+    Well-defined on ranges because f maps any basis of a subspace to a basis
+    of its f-image, and B is invertible.  The subclasses only check and
+    build (f, B) and name the map.
+    """
 
-    def __init__(self, n: int, ctx: FieldContext):
-        self.n = n
-        self.ctx = ctx
+    __slots__ = ("f", "b")
+
+    def __init__(self, f: Automorphism, b: Matrix):
+        self.f = f
+        self.b = b
+
+    @property
+    def n(self) -> int:
+        return self.b.nrows
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self.b.ctx
 
     def _check_dim(self, p: Projection) -> None:
         if p.n != self.n:
             raise ValueError(f"map on K^{self.n} applied to K^{p.n}")
 
     def apply(self, p: Projection) -> Projection:
-        raise NotImplementedError
+        self._check_dim(p)
+        return Projection(self.b * automorphism_entrywise(self.f, p.basis))
 
     def vector_image(self, v: Sequence[Scalarish]) -> tuple:
         """Image of a vector under the map's underlying (anti)linear action."""
-        raise NotImplementedError
+        return self.b.matvec([self.f(_as_elem(x, self.ctx)) for x in v])
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -68,89 +82,67 @@ class ProjectionMap:
         return f"{type(self).__name__}({self.describe()}, n={self.n})"
 
 
-class UnitaryConjMap(ProjectionMap):
-    """P -> U*PU for a unitary U: the projection onto U* Range(P)."""
+# Each class binds the shared apply in its own namespace, so that apply can
+# be found and wrapped per class by name (benchmarks/tracing.py).
 
-    __slots__ = ("u", "u_star")
+
+class UnitaryConjMap(ProjectionMap):
+    """P -> U*PU for a unitary U: the pair (id, U*)."""
+
+    __slots__ = ("u",)
 
     def __init__(self, u: Matrix):
-        _require_unitary(u)
-        super().__init__(u.nrows, u.ctx)
+        super().__init__(Automorphism.ID, _require_unitary(u))
         self.u = u
-        self.u_star = u.conj_transpose()
 
-    def apply(self, p: Projection) -> Projection:
-        self._check_dim(p)
-        return Projection(self.u_star * p.basis)
-
-    def vector_image(self, v: Sequence[Scalarish]) -> tuple:
-        return self.u_star.matvec(v)
+    apply = ProjectionMap.apply
 
     def describe(self) -> str:
         return "unitary"
 
 
 class AntiUnitaryConjMap(ProjectionMap):
-    """P -> conj(U*PU): conjugation by the anti-unitary (U followed by conj).
+    """P -> conj(U*PU), conjugation by U then conj: the pair (conj, U^T)."""
 
-    The image is the projection onto conj(U* Range(P)).
-    """
-
-    __slots__ = ("u", "u_star")
+    __slots__ = ("u",)
 
     def __init__(self, u: Matrix):
         _require_unitary(u)
-        super().__init__(u.nrows, u.ctx)
+        super().__init__(Automorphism.CONJ, u.transpose())
         self.u = u
-        self.u_star = u.conj_transpose()
 
-    def apply(self, p: Projection) -> Projection:
-        self._check_dim(p)
-        return Projection(automorphism_entrywise(
-            Automorphism.CONJ, self.u_star * p.basis))
-
-    def vector_image(self, v: Sequence[Scalarish]) -> tuple:
-        return tuple(x.conj() for x in self.u_star.matvec(v))
+    apply = ProjectionMap.apply
 
     def describe(self) -> str:
         return "anti-unitary"
 
 
 class InducedMap(ProjectionMap):
-    """P -> projection onto B * f(Range(P)) for an automorphism f of K.
+    """P -> projection onto B * f(Range(P)) for any automorphism f of K."""
 
-    Well-defined on ranges because f maps any basis of a subspace to a basis
-    of its f-image, and B is invertible.
-    """
-
-    __slots__ = ("f", "b")
+    __slots__ = ()
 
     def __init__(self, f: Automorphism, b: Matrix):
         if not b.is_square:
             raise ValueError("basis-change matrix must be square")
         if not b.det():
             raise ValueError("basis-change matrix must be invertible")
-        super().__init__(b.nrows, b.ctx)
-        self.f = f
-        self.b = b
+        super().__init__(f, b)
 
-    def apply(self, p: Projection) -> Projection:
-        self._check_dim(p)
-        return Projection(self.b * automorphism_entrywise(self.f, p.basis))
-
-    def vector_image(self, v: Sequence[Scalarish]) -> tuple:
-        fv = [self.f(_as_elem(x, self.ctx)) for x in v]
-        return self.b.matvec(fv)
+    apply = ProjectionMap.apply
 
     def describe(self) -> str:
         return f"induced({self.f.value})"
 
 
-def _require_unitary(u: Matrix) -> None:
+def _require_unitary(u: Matrix) -> Matrix:
+    """U*, after checking that U is square and U*U = I (ValueError if not)."""
     if not u.is_square:
         raise ValueError("unitary must be square")
-    if u.conj_transpose() * u != Matrix.identity(u.nrows, u.ctx):
+    u_star = u.conj_transpose()
+    if u_star * u != Matrix.identity(u.nrows, u.ctx):
         raise ValueError("matrix is not unitary")
+    return u_star
 
 
 # -- constructors -------------------------------------------------------------------
@@ -181,42 +173,31 @@ def rank_one_image(m: ProjectionMap, v: Sequence[Scalarish]) -> Projection:
 
 def gram_is_scalar(b: Matrix) -> bool:
     gram = b.conj_transpose() * b
-    t = gram[0, 0]
-    return gram == Matrix.diag([t] * b.nrows, b.ctx)
+    return not b.nrows or gram == Matrix.diag([gram[0, 0]] * b.nrows, b.ctx)
 
 
 def classify_map(m: ProjectionMap) -> MapForm:
     """Whether the map is conjugation by a unitary, by an anti-unitary, or wild.
 
-    An induced map with f = id and B a scalar multiple of a unitary acts on
-    ranges exactly like a unitary conjugation; likewise f = conj and the
-    anti-unitary form.  Everything else preserves pair spectra but is not of
-    either form.
+    With B a scalar multiple of a unitary, f = id acts on ranges exactly
+    like a unitary conjugation and f = conj like the anti-unitary one.
+    Everything else preserves pair spectra but is not of either form.
     """
-    if isinstance(m, UnitaryConjMap):
-        return MapForm.UNITARY_FORM
-    if isinstance(m, AntiUnitaryConjMap):
-        return MapForm.ANTI_UNITARY_FORM
-    if isinstance(m, InducedMap):
-        if m.f is Automorphism.ID and gram_is_scalar(m.b):
+    if gram_is_scalar(m.b):
+        if m.f is Automorphism.ID:
             return MapForm.UNITARY_FORM
-        if m.f is Automorphism.CONJ and gram_is_scalar(m.b):
+        if m.f is Automorphism.CONJ:
             return MapForm.ANTI_UNITARY_FORM
-        return MapForm.WILD_PAIR_PRESERVING
-    raise TypeError(f"unknown map type {type(m).__name__}")
+    return MapForm.WILD_PAIR_PRESERVING
 
 
 def preserves_orthogonality(m: ProjectionMap) -> bool:
     """True iff images of orthogonal vectors stay orthogonal.
 
-    Conjugations always qualify; an induced map qualifies iff B*B is a scalar
-    matrix, since f itself respects the inner product up to the automorphism.
+    That holds iff B*B is a scalar matrix, since f itself respects the inner
+    product up to the automorphism; conjugations always qualify.
     """
-    if isinstance(m, (UnitaryConjMap, AntiUnitaryConjMap)):
-        return True
-    if isinstance(m, InducedMap):
-        return gram_is_scalar(m.b)
-    raise TypeError(f"unknown map type {type(m).__name__}")
+    return gram_is_scalar(m.b)
 
 
 # -- extensions from rank-one data ------------------------------------------------------
@@ -269,13 +250,9 @@ def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
 
 
 def map_to_json(m: ProjectionMap) -> dict:
-    if isinstance(m, UnitaryConjMap):
-        return {"kind": "unitary", "U": matrix_to_json(m.u)}
-    if isinstance(m, AntiUnitaryConjMap):
-        return {"kind": "anti-unitary", "U": matrix_to_json(m.u)}
-    if isinstance(m, InducedMap):
-        return {"kind": "induced", "f": m.f.value, "B": matrix_to_json(m.b)}
-    raise TypeError(f"unknown map type {type(m).__name__}")
+    if isinstance(m, (UnitaryConjMap, AntiUnitaryConjMap)):
+        return {"kind": m.describe(), "U": matrix_to_json(m.u)}
+    return {"kind": "induced", "f": m.f.value, "B": matrix_to_json(m.b)}
 
 
 def map_from_json(obj: object,

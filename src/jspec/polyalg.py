@@ -25,19 +25,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from jspec.scalar import (
     FieldContext,
     FieldElem,
     ParseError,
+    Scalarish,
     _Parser,
     format_scalar,
     parse_scalar,
 )
 
 Expts = tuple[int, ...]
-Scalarish = Union[FieldElem, int, Fraction]
 
 
 def _grlex_key(expts: Expts) -> tuple[int, Expts]:

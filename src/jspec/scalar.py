@@ -19,6 +19,7 @@ from math import gcd, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
+Scalarish = Union["FieldElem", int, Fraction]
 
 
 class ParseError(ValueError):

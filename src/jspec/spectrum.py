@@ -10,6 +10,7 @@ containment reduces to polynomial divisibility over K.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from fractions import Fraction
 from functools import lru_cache
@@ -455,25 +456,17 @@ def classify_rank_one_tuple(projs: Sequence[Projection]) -> RankOneClass:
 # -- two-projection facts ---------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
 class PairFacts:
     """Lattice facts and spectrum membership facts for one pair, side by side."""
 
-    __slots__ = ("join_full", "meet_zero", "point11_out", "point1m1_out")
-
-    def __init__(self, join_full: bool, meet_zero: bool,
-                 point11_out: bool, point1m1_out: bool):
-        self.join_full = join_full
-        self.meet_zero = meet_zero
-        self.point11_out = point11_out
-        self.point1m1_out = point1m1_out
+    join_full: bool
+    meet_zero: bool
+    point11_out: bool
+    point1m1_out: bool
 
     def as_dict(self) -> dict:
-        return {"join_full": self.join_full, "meet_zero": self.meet_zero,
-                "point11_out": self.point11_out,
-                "point1m1_out": self.point1m1_out}
-
-    def __repr__(self) -> str:
-        return f"PairFacts({self.as_dict()})"
+        return dataclasses.asdict(self)
 
 
 def pair_facts(p: Projection, q: Projection) -> PairFacts:

@@ -309,6 +309,19 @@ def test_classify_fixed_values():
     assert classify_map(make_induced(Automorphism.ID,
                                      Matrix([[1, 1], [0, 1]], K))) is \
         MapForm.WILD_PAIR_PRESERVING
+    # the conjugations written as induced pairs (id, U*) and (conj, U^T)
+    u = plane_rotation(3, 0, 2) * Matrix.diag([I_, K.one, -I_], K)
+    assert classify_map(make_induced(Automorphism.ID,
+                                     u.conj_transpose())) is \
+        MapForm.UNITARY_FORM
+    assert classify_map(make_induced(Automorphism.CONJ, u.transpose())) is \
+        MapForm.ANTI_UNITARY_FORM
+    # on K^0 the empty Gram matrix is scalar
+    assert classify_map(make_unitary_conj(Matrix.identity(0, K))) is \
+        MapForm.UNITARY_FORM
+    assert classify_map(make_induced(Automorphism.CONJ,
+                                     Matrix.identity(0, K))) is \
+        MapForm.ANTI_UNITARY_FORM
 
 
 def test_classified_forms_preserve_orthogonality():
@@ -318,6 +331,14 @@ def test_classified_forms_preserve_orthogonality():
         m = random_map(rng, n)
         form = classify_map(m)
         if form is not MapForm.WILD_PAIR_PRESERVING:
+            assert preserves_orthogonality(m)
+        # the conjugations as induced pairs: (id, U*) and (conj, U^T)
+        u = random_unitary(rng, n)
+        for m, form in ((make_induced(Automorphism.ID, u.conj_transpose()),
+                         MapForm.UNITARY_FORM),
+                        (make_induced(Automorphism.CONJ, u.transpose()),
+                         MapForm.ANTI_UNITARY_FORM)):
+            assert classify_map(m) is form
             assert preserves_orthogonality(m)
 
 

@@ -76,9 +76,20 @@ def test_conjugations_match_u_star_p_u(case):
     n, p, _, rng = case
     u = random_unitary(TrialConfig(n=n), rng)
     u_pu = u.conj_transpose() * p.matrix * u
-    assert UnitaryConjMap(u).apply(p) == make_projection(u_pu)
-    assert AntiUnitaryConjMap(u).apply(p) == make_projection(
+    unitary, anti = UnitaryConjMap(u), AntiUnitaryConjMap(u)
+    assert unitary.apply(p) == make_projection(u_pu)
+    assert anti.apply(p) == make_projection(
         automorphism_entrywise(Automorphism.CONJ, u_pu))
+    # the conjugations are the induced pairs (id, U*) and (conj, U^T)
+    as_unitary = InducedMap(Automorphism.ID, u.conj_transpose())
+    as_anti = InducedMap(Automorphism.CONJ, u.transpose())
+    assert unitary.apply(p) == as_unitary.apply(p)
+    assert anti.apply(p) == as_anti.apply(p)
+    for v in p.basis.columns() + Matrix.identity(n, K).columns():
+        assert unitary.vector_image(v) == as_unitary.vector_image(v) == \
+            u.conj_transpose().matvec(v)
+        assert anti.vector_image(v) == as_anti.vector_image(v) == \
+            tuple(x.conj() for x in u.conj_transpose().matvec(v))
 
 
 @settings(max_examples=60, deadline=None)
