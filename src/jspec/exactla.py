@@ -10,7 +10,8 @@ pivot row is nonzero, and forms each update x - f*y with one fused
 `scalar._sub_mul` (one gcd reduction instead of two).  The projection
 onto a column space is A (A*A)^{-1} A*, found by fraction-free Gauss-Jordan
 on the integral Gram matrix, which never leaves Z[i, sqrt(d)] until one
-division per entry at the end.
+division per entry at the end.  The same elimination, forward only, gives
+Gram determinants, which the closed-form pencil of `jspec.spectrum` uses.
 """
 
 from __future__ import annotations
@@ -363,34 +364,19 @@ def projection_onto(a: Matrix) -> Matrix:
 
     Computed as a (a*a)^{-1} a* on integers.  Each column of a is scaled by
     the lcm of its entry denominators, which keeps its span and puts a and
-    G = a*a in Z[i, sqrt d].  Fraction-free Gauss-Jordan (Bareiss 1968)
-    turns [G | a*] into [det G * I | adj(G) a*]; step k divides exactly by
-    the k-th leading principal minor of G, a real s + t sqrt d.  A zero
-    pivot means dependent columns.  Each entry of the Hermitian
-    a adj(G) a* is divided by det G once.  No columns: the zero projection.
+    G = a*a in Z[i, sqrt d].  `_gram_elimination` turns [G | a*] into
+    [det G * I | adj(G) a*], and each entry of the Hermitian a adj(G) a* is
+    divided by det G once.  No columns: the zero projection.
     """
     n, r, ctx = a.nrows, a.ncols, a.ctx
     if r == 0:
         return Matrix.zeros(n, n, ctx)
     d = ctx.d
     cols = [_integral(col) for col in a.columns()]
-    conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
-    m = [[_dot4(conj[j], col, d) for col in cols] + conj[j] for j in range(r)]
-    prev = (1, 0)
-    for k in range(r):
-        piv, top = m[k][k], m[k]
-        if not any(piv):
-            raise ValueError("columns are dependent")
-        for row in m:
-            if row is not top:
-                f = row[k]
-                row[k + 1:] = [
-                    _div_real(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
-                    for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = piv
-    s, t = prev[0], prev[1]  # 1 / det G = (s - t sqrt d) / (s^2 - d t^2)
-    flip, norm = ((s, -t, 0, 0), s * s - d * t * t) if t else \
-        ((1, 0, 0, 0), s)
+    det, m = _gram_elimination(cols, d, adjoint=True)
+    if not any(det):
+        raise ValueError("columns are dependent")
+    flip, norm = _real_inverse(det, d)
     adj = list(zip(*(row[r:] for row in m)))  # columns of adj(G) a*
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -400,6 +386,51 @@ def projection_onto(a: Matrix) -> Matrix:
             out[i][l] = _reduced(*x, norm, ctx)
             out[l][i] = out[i][l].conj()
     return Matrix._of(out, ctx, n)
+
+
+def _gram_elimination(cols: Sequence[Sequence[tuple]], d: int,
+                     adjoint: bool = False) -> tuple[tuple, list[list]]:
+    """det G for the Gram matrix G = a*a of integral columns, and the rows.
+
+    `cols` are the columns of a as 4-int tuples in Z[i, sqrt d]
+    (`_integral`).  Fraction-free elimination (Bareiss 1968): step k
+    divides exactly by the k-th leading principal minor of G, which is real,
+    s + t sqrt d, since G is Hermitian.  That minor is the Gram determinant
+    of the first k columns, so at a zero pivot the columns are dependent
+    and det G = 0.  Returns det G as (s, t, 0, 0): (0, 0, 0, 0) at once at
+    a zero pivot, and (1, 0, 0, 0) for no columns.  Without `adjoint` only
+    the rows below each pivot are updated, which is all det G needs; with
+    it, Gauss-Jordan on every row turns [G | a*] into
+    [det G * I | adj(G) a*], and those rows are returned.
+    """
+    conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
+    m = [[_dot4(conj[j], col, d) for col in cols]
+         + (conj[j] if adjoint else []) for j in range(len(cols))]
+    prev = (1, 0, 0, 0)
+    for k, top in enumerate(m):
+        piv = top[k]
+        if not any(piv):
+            return piv, m
+        for row in m if adjoint else m[k + 1:]:
+            if row is not top:
+                f = row[k]
+                row[k + 1:] = [
+                    _div_real(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
+                    for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = piv
+    return prev, m
+
+
+def _real_inverse(w: tuple, d: int) -> tuple[tuple, int]:
+    """(y, norm) with 1 / w = y / norm, for a real w = s + t sqrt d != 0.
+
+    norm = s^2 - d t^2 = w * flip(w) is positive when w is positive in
+    both real embeddings, as a Gram determinant is.
+    """
+    s, t = w[0], w[1]
+    if t:
+        return (s, -t, 0, 0), s * s - d * t * t
+    return (1, 0, 0, 0), s
 
 
 def _integral(v: Sequence[FieldElem]) -> list[tuple[int, int, int, int]]:

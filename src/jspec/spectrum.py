@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import comb, factorial, isqrt, lcm
 from typing import Optional, Sequence
 
+from jspec.exactla import _gram_elimination, _integral, _real_inverse
 from jspec.lattice import (
     Projection,
     projection_from_json,
@@ -28,7 +29,7 @@ from jspec.polyalg import (
     divides,
     squarefree_part,
 )
-from jspec.scalar import FieldContext, FieldElem
+from jspec.scalar import FieldContext, FieldElem, _mul4, _reduced
 
 
 class JointSpectrum:
@@ -93,9 +94,33 @@ def _check_tuple(projs: Sequence[Projection]) -> tuple[int, int, FieldContext]:
 def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     """Joint spectrum via the symbolic determinant of c1*P1 + ... + ck*Pk.
 
-    The determinant is fraction-free.  Let D_l be the lcm of the
-    denominators of the entries of P_l and D the lcm of all D_l.  Every
-    entry of D_l P_l lies in Z[i, sqrt d], and
+    Let r_l be the rank of P_l, read from its basis column count, and
+    e = sum r_l - n the rank excess.  For e <= 0 the pencil has a closed
+    form (`_closed_form_pencil`), and for e >= 1 it comes from the subset DP
+    (`_integer_pencil`, then `_rescaled`).
+
+    The closed form.  Let A_l be the range basis of P_l, G_l = A_l* A_l
+    its Gram matrix, so that P_l = A_l G_l^(-1) A_l*, and
+    U = [A_1 | ... | A_k], an n x (n + e) matrix.  Multiplying out the
+    blocks,
+
+        sum c_l P_l = U * blockdiag(c_1 G_1^(-1), ..., c_k G_k^(-1)) * U*.
+
+    For e < 0 the right side has rank at most n + e < n, so the pencil is
+    0.  For e = 0 all three factors are n x n, and det is multiplicative:
+
+        det(sum c_l P_l) = det U * prod_l det(c_l G_l^(-1)) * det U*
+                         = det(U* U) / prod_l det G_l * prod_l c_l^(r_l),
+
+    since det(c_l G_l^(-1)) = c_l^(r_l) / det G_l and det U* det U =
+    det(U* U).  So the pencil is the one monomial c^r, or 0 when U is
+    singular.  Its coefficient is a quotient of Gram determinants: real, in
+    Q(sqrt d), positive in both real embeddings, and unchanged when a
+    column of A_l is scaled by s (both det(U* U) and det G_l gain |s|^2).
+
+    The DP is fraction-free.  Let D_l be the lcm of the denominators of the
+    entries of P_l and D the lcm of all D_l.  Every entry of D_l P_l lies
+    in Z[i, sqrt d], and
 
         det(sum c_l P_l) = D^(-n) * sum_alpha q_alpha prod_l (D / D_l)^alpha_l
                                   * c^alpha,
@@ -110,19 +135,60 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     numbers are in `BENCH_8.json`).  The DP holds each state either packed
     into four ints or as a dict of monomials, whichever a cost model
     predicts faster; see `_integer_pencil`.
+
+    Either way a dependent basis raises ValueError before the pencil is
+    returned, whatever e is.
     """
     k, n, ctx = _check_tuple(projs)
+    ranks = [p.rank for p in projs]
+    if sum(ranks) <= n:
+        return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
     entry, dens = _scaled_entries(projs)
+    coefs = _integer_pencil(entry, ranks, ctx.d)
+    return JointSpectrum(k, n, _rescaled(coefs, dens, n, ctx))
+
+
+def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
+                        n: int, ctx: FieldContext) -> MultiPoly:
+    """The pencil of a tuple with sum r_l <= n, in `pencil_poly`'s closed form.
+
+    The Gram determinants come from `exactla._gram_elimination` on the
+    integral columns of each basis, and det(U* U) from the same elimination
+    on all of them side by side; the same column scaling in both keeps the
+    quotient exact.  Each det G_l is checked first: a zero one means a
+    dependent basis, which raises the ValueError that reading its matrix
+    raises.  The coefficient is written as one reduced FieldElem.
+    """
+    k, d = len(projs), ctx.d
+    cols = [[_integral(col) for col in p.basis.columns()] for p in projs]
+    den = (1, 0, 0, 0)
+    for a in cols:
+        gram = _gram_elimination(a, d)[0]
+        if not any(gram):
+            raise ValueError("columns are dependent")
+        den = _mul4(den, gram, d)
+    if sum(ranks) < n:
+        return MultiPoly.zero(k, ctx)
+    num = _gram_elimination([col for a in cols for col in a], d)[0]
+    if not any(num):
+        return MultiPoly.zero(k, ctx)
+    flip, norm = _real_inverse(den, d)
+    a, b, _, _ = _mul4(num, flip, d)
+    return MultiPoly._of(k, {tuple(ranks): _reduced(a, b, 0, 0, norm, ctx)},
+                         ctx)
+
+
+def _rescaled(coefs: Coefficients, dens: Sequence[int], n: int,
+              ctx: FieldContext) -> MultiPoly:
+    """The pencil from the DP's coefficients of det(sum c_l D_l P_l)."""
     den = lcm(*dens)
     terms = {}
-    for expts, v in _integer_pencil(entry, [p.rank for p in projs],
-                                    ctx.d).items():
+    for expts, v in coefs.items():
         f = 1
         for l, alpha in enumerate(expts):
             f *= (den // dens[l]) ** alpha
         terms[expts] = ctx.elem(*(x * f for x in v))
-    pencil = MultiPoly(k, terms, ctx) * ctx.elem(Fraction(1, den ** n))
-    return JointSpectrum(k, n, pencil)
+    return MultiPoly(len(dens), terms, ctx) * ctx.elem(Fraction(1, den ** n))
 
 
 Entries = list[list[list[tuple[int, int, int, int, int]]]]
@@ -139,8 +205,10 @@ def _scaled_entries(projs: Sequence[Projection]) -> tuple[Entries, list[int]]:
     """The entries of every D_l P_l in Z[i, sqrt d], and the D_l.
 
     entry[r][j] lists (l, A, B, C, E) for each l with (D_l P_l)_{rj} =
-    A + B sqrt d + (C + E sqrt d) i nonzero.  Reading `p.matrix` first
-    means a dependent basis has raised before any rank is trusted.
+    A + B sqrt d + (C + E sqrt d) i nonzero.  Reading `p.matrix` raises
+    for a dependent basis, so on the DP path (e >= 1) that check happens
+    here, before `_integer_pencil` trusts any rank; on the closed-form path
+    (e <= 0) `_closed_form_pencil` makes it from the Gram determinants.
     """
     forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]
              for p in projs]

@@ -225,6 +225,110 @@ def test_packed_decode_raises_past_its_bound():
         spectrum._packed_dp(entry, [1, 1], 2, 2)
 
 
+def _independent(rng, pool, n, rank, ctx, first=None):
+    """A basis of `rank` random columns of K^n, led by `first` if given."""
+    while True:
+        cols = [] if first is None else [first]
+        cols += [[rng.choice(pool) for _ in range(n)]
+                 for _ in range(rank - len(cols))]
+        a = Matrix.from_columns(cols, ctx, nrows=n)
+        if a.rank() == rank:
+            return a
+
+
+@st.composite
+def excess_free_tuples(draw):
+    """A tuple with sum of ranks n + e, e in -3..0: the closed-form pencils.
+
+    Either ranks 0..n split at random over k <= 4 members (zero and
+    identity members included), with, at will, a repeated member or a
+    member whose range meets an earlier one's, so U = [A_1 | ... | A_k]
+    can be singular at e = 0; or n = k = 8..10 random lines, the `lemma41`
+    shape, one of them at will a multiple of another.  The DP oracles take
+    seconds at n = 10 over the large d, so there the lines stop at n = 8.
+    """
+    d = draw(st.sampled_from([2, 3, 999999937]))
+    ctx = FieldContext(d)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(8, 10 if d < 10 else 8))
+        cols = [_independent(rng, pool, n, 1, ctx).col(0) for _ in range(n)]
+        if draw(st.booleans()):
+            cols[-1] = [x * ctx.elem(2) for x in cols[0]]
+        return [Projection(Matrix.from_columns([v], ctx)) for v in cols]
+    n = draw(st.integers(1, 6 if d < 10 else 5))
+    left = n + draw(st.integers(-min(3, n), 0))
+    k = draw(st.integers(1, 4))
+    repeat, overlap = draw(st.booleans()), draw(st.booleans())
+    projs = []
+    for l in range(k):
+        rank = left if l == k - 1 else draw(st.integers(0, left))
+        left -= rank
+        if repeat and l and rank == projs[0].rank:
+            projs.append(projs[0])
+        elif rank == 0:
+            projs.append(zero_projection(n, ctx))
+        elif rank == n:
+            projs.append(identity_projection(n, ctx))
+        elif overlap and l and projs[0].rank:
+            shared = [x * ctx.elem(2) + y for x, y in
+                      zip(projs[0].basis.col(0), projs[0].basis.col(-1))]
+            projs.append(Projection(
+                _independent(rng, pool, n, rank, ctx, first=shared)))
+        else:
+            projs.append(Projection(_independent(rng, pool, n, rank, ctx)))
+    return projs
+
+
+@settings(max_examples=40, deadline=None)
+@given(excess_free_tuples())
+def test_closed_form_pencil_matches_the_dp(projs):
+    """e <= 0: the closed form against both DP layouts and Leibniz.
+
+    Both layouts run on the same scaled entries up to n = 7; at n = 8..10
+    only the one `_integer_pencil` picks, since the other can take seconds
+    (the two are compared at those sizes by `layout_tuples`).
+    """
+    k, n, ctx = spectrum._check_tuple(projs)
+    ranks = [p.rank for p in projs]
+    assert sum(ranks) <= n
+    pencil = pencil_poly(projs).pencil
+    assert all(p._matrix is None for p in projs)  # no matrix was built
+    entry, dens = spectrum._scaled_entries(projs)
+    if n <= 7:
+        w = spectrum._slot_width(entry, ctx.d)
+        layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w),
+                   spectrum._dict_dp(entry, k, ctx.d)]
+    else:
+        layouts = [spectrum._integer_pencil(entry, ranks, ctx.d)]
+    for coefs in layouts:
+        assert pencil == spectrum._rescaled(coefs, dens, n, ctx)
+    if n <= 5:
+        assert pencil == pencil_poly_leibniz(projs)
+    if sum(ranks) < n:
+        assert pencil.is_zero()
+    else:
+        assert set(pencil.terms) <= {tuple(ranks)}
+    for coef in pencil.terms.values():
+        assert coef.is_real()
+        assert coef.real_sign() > 0
+        assert Automorphism.FLIP(coef).real_sign() > 0
+
+
+def test_dependent_basis_raises_whatever_the_excess():
+    """A basis with dependent columns raises before its rank is trusted."""
+    v, w = [K.one, I_, K.zero, R_], [K.zero, K.one, K.one, K.zero]
+    bad = Projection(Matrix.from_columns([v, w, [x + y for x, y in zip(v, w)]],
+                                         K))  # "rank 3", spans a plane
+    line = rank_one([K.one, K.zero, K.zero, K.one])
+    for projs in ([bad], [bad, line], [bad, line, line]):  # e = -1, 0, 1
+        with pytest.raises(ValueError, match="dependent"):
+            pencil_poly(projs)
+        with pytest.raises(ValueError, match="dependent"):
+            pencil_poly(projs[::-1])
+
+
 @st.composite
 def projection_pairs(draw):
     """(P, Q) on K^n, n = 2..6, with Q = P or sharing subspaces with P."""

@@ -12,7 +12,7 @@ REPEAT times, the two ways taking turns:
 - ``reference``: the `MultiPoly` subset DP of `tests/reference_pencil.py`,
   which `spectrum.pencil_poly` ran before its DP became fraction-free;
 - ``per_projection``: `spectrum.pencil_poly`, which scales each P_l by its
-  own D_l.
+  own D_l, or takes the closed form when the ranks add up to at most n.
 
 One common denominator D for every P_l was timed as a third way and
 rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
@@ -25,8 +25,11 @@ entries (`spectrum._scaled_entries`), taking turns:
 - ``packed``: `spectrum._packed_dp`, each state four ints of w-bit slots;
 - ``dict``: `spectrum._dict_dp`, each state a dict of monomials.
 
-Each row gives the slot width w of every tuple and the layout that
-`pencil_poly` takes for it: packed iff w <= `spectrum._width_limit`.
+Each row gives the slot width w of every tuple and the path that
+`pencil_poly` takes for it: ``closed form`` when the ranks add up to at
+most n, else ``packed`` iff w <= `spectrum._width_limit`, else ``dict``.
+On a closed-form tuple the two layouts time the DP that the closed form
+replaces.
 
 The squarefree part of each pencil is then timed the same way, two ways
 taking turns:
@@ -38,15 +41,17 @@ taking turns:
 
 The ``pool`` case is one pass over the 24 triples of the `pencil` workload;
 the others are single tuples: two at a large d, one with k = 4, n = k = 10
-rank-one lines (the `lemma41` shape), n = 12 at ranks (9, 9, 9), and two
+rank-one lines (the `lemma41` shape), 9 lines on K^10 (pencil 0) and 10
+lines on K^9 (the `rank-one-k` shapes), n = 12 at ranks (9, 9, 9), and two
 at d = 2 whose pencils have a repeated factor, so that the certificate
 fails and ``sf`` runs the GCD loop (``n6_repeated``, ranks (5, 5, 5), and
 ``n7_repeated``, ranks (6, 6, 6)).  Each
 case prints one JSON line with the median and minimum wall seconds of each
 way, the number of pencil terms, how many pencils the certificate proves
 squarefree, the total degree of the pencils and of their squarefree parts,
-and digests of the printed pencils and squarefree parts; the ways must
-agree, and so must the two layouts.
+and digests of the printed pencils and squarefree parts.  The ways must
+agree, the two layouts must agree, and the pencil rescaled from the packed
+layout must equal `pencil_poly`'s.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from jspec import polyalg, spectrum  # noqa: E402
 from jspec.polyalg import format_poly  # noqa: E402
+from jspec.scalar import FieldContext  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 
@@ -78,6 +84,8 @@ CASES = {
     "n8_k4": (2, [(8, (2, 4, 5, 6), 84)], REPEAT),
     "n7_large_d": (999999937, [(7, (2, 4, 6), 7)], REPEAT),
     "n10_rank_one": (2, [(10, (1,) * 10, 10)], 3),
+    "n10_k9_rank_one": (2, [(10, (1,) * 9, 109)], 3),
+    "n9_k10_rank_one": (2, [(9, (1,) * 10, 910)], 3),
     "n12": (2, [(12, (9, 9, 9), 12)], 3),
     "n6_repeated": (2, [(6, (5, 5, 5), 6)], REPEAT),
     "n7_repeated": (2, [(7, (6, 6, 6), 7)], REPEAT),
@@ -138,19 +146,27 @@ def main(names: list[str]) -> int:
         if results.get("reference", results["per_projection"]) != \
                 results["per_projection"]:
             raise SystemExit(f"{name}: the two pencils differ")
-        dps = []
+        dps, dens = [], []
         for projs in tuples:
-            entry = spectrum._scaled_entries(projs)[0]
+            entry, scales = spectrum._scaled_entries(projs)
             ranks = [p.rank for p in projs]
             dps.append((entry, ranks, d, spectrum._slot_width(entry, d)))
+            dens.append(scales)
         row["w"] = [x[3] for x in dps]
-        row["layout"] = [
-            "packed" if x[3] <= spectrum._width_limit(len(x[0]), tuple(x[1]))
+        row["path"] = [
+            "closed form" if sum(x[1]) <= len(x[0])
+            else "packed" if x[3] <= spectrum._width_limit(len(x[0]),
+                                                           tuple(x[1]))
             else "dict" for x in dps]
         layouts, times = timed(LAYOUTS, dps, repeat)
         row.update(times)
         if layouts["packed"] != layouts["dict"]:
             raise SystemExit(f"{name}: the two layouts differ")
+        ctx = FieldContext(d)
+        if results["per_projection"] != [
+                spectrum._rescaled(coefs, scales, len(x[0]), ctx)
+                for coefs, scales, x in zip(layouts["packed"], dens, dps)]:
+            raise SystemExit(f"{name}: pencil_poly and the DP differ")
         pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
