@@ -61,25 +61,52 @@ def _load_json(path: str) -> object:
         raise UsageError(f"{path} nests JSON too deeply to read") from err
 
 
+def _rows_in(obj: object, key: str) -> int:
+    """Row count of the unparsed matrix form obj[key], 0 if it has none."""
+    form = obj.get(key) if isinstance(obj, dict) else None
+    rows = form.get("rows") if isinstance(form, dict) else None
+    return len(rows) if isinstance(rows, list) else 0
+
+
 def _load_tuple(path: str, ctx: FieldContext) -> list[Projection]:
-    """A tuple small enough for the pencil's exponential subset DP."""
-    projs = tuple_from_json(_load_json(path), ctx)
-    n, k = projs[0].n, len(projs)
-    if n > MAX_N:
-        raise UsageError(f"{path}: dimension n must be at most {MAX_N}, "
-                         f"got {n}")
-    if k > MAX_K:
-        raise UsageError(f"{path}: tuple length k must be at most {MAX_K}, "
-                         f"got {k}")
-    return projs
+    """A tuple small enough for the pencil's exponential subset DP.
+
+    n and k are read from the JSON, as building a projection costs n^3.
+    """
+    obj = _load_json(path)
+    items = obj.get("projections") if isinstance(obj, dict) else None
+    if isinstance(items, list):
+        n = max((max(_rows_in(p, "matrix"), _rows_in(p, "span"))
+                 for p in items), default=0)
+        if n > MAX_N:
+            raise UsageError(f"{path}: dimension n must be at most {MAX_N}, "
+                             f"got {n}")
+        if len(items) > MAX_K:
+            raise UsageError(f"{path}: tuple length k must be at most "
+                             f"{MAX_K}, got {len(items)}")
+    return tuple_from_json(obj, ctx)
 
 
 def _load_projection(path: str, ctx: FieldContext) -> Projection:
     return projection_from_json(_load_json(path), ctx)
 
 
-def _load_map(path: str, ctx: FieldContext) -> ProjectionMap:
-    return map_from_json(_load_json(path), ctx)
+def _load_map(path: str, ctx: FieldContext, n: int) -> ProjectionMap:
+    """A map on K^n, its size read from the JSON, as building it costs n^3."""
+    obj = _load_json(path)
+    key = "B" if isinstance(obj, dict) and obj.get("kind") == "induced" else "U"
+    size = _rows_in(obj, key)
+    if size not in (0, n):
+        raise ValueError(f"map on K^{size} applied to K^{n}")
+    return map_from_json(obj, ctx)
+
+
+def _tuple_length(args, default: int, source: str) -> int:
+    """--k, or the default of --suite or --kind, which the error then names."""
+    if args.k is None and args.n <= MAX_N and default > MAX_K:
+        raise UsageError(f"tuple length k must be at most {MAX_K}, got "
+                         f"{default} (the {source} default; pass --k)")
+    return default if args.k is None else args.k
 
 
 def _parse_point(text: str, ctx: FieldContext) -> list:
@@ -160,8 +187,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_map_apply(args) -> int:
     ctx = FieldContext(args.d)
-    m = _load_map(args.map, ctx)
-    _print_projection(m.apply(_load_projection(args.p, ctx)))
+    p = _load_projection(args.p, ctx)
+    _print_projection(_load_map(args.map, ctx, p.n).apply(p))
     return 0
 
 
@@ -204,13 +231,13 @@ _SHORT_RANK_ONE = VERIFY_SUITES["rank-one-k"]._replace(
 
 def _cmd_verify(args) -> int:
     suite, name = VERIFY_SUITES[args.suite], f"suite {args.suite}"
-    k = args.k if args.k is not None else suite.default_k(args.n)
+    k = _tuple_length(args, suite.default_k(args.n), f"--suite {args.suite}")
     cfg = TrialConfig(n=args.n, k=k, trials=args.trials, seed=args.seed,
                       d=args.d)
     if args.suite == "rank-one-k":
         name += " with k < n" if k < args.n else " with k >= n"
         suite = _SHORT_RANK_ONE if k < args.n else suite
-    m = None if args.map is None else _load_map(args.map, cfg.ctx)
+    m = None if args.map is None else _load_map(args.map, cfg.ctx, cfg.n)
     if suite.maps == "none" and m is not None:
         raise UsageError(f"{name} takes no map; drop --map")
     if suite.maps == "required" and m is None:
@@ -224,15 +251,14 @@ def _cmd_verify(args) -> int:
 def _cmd_witness(args) -> int:
     if args.budget < 0:
         raise UsageError(f"--budget must be nonnegative, got {args.budget}")
-    ctx = FieldContext(args.d)
     rank_one_only = args.kind == "flip-rank-one"
-    n = args.n
-    k = args.k if args.k is not None else (args.n + 1 if rank_one_only else 3)
-    cfg = TrialConfig(n=n, k=k, seed=args.seed, d=args.d)
+    k = _tuple_length(args, args.n + 1 if rank_one_only else 3,
+                      f"--kind {args.kind}")
+    cfg = TrialConfig(n=args.n, k=k, seed=args.seed, d=args.d)
     if args.map is not None:
-        m = _load_map(args.map, ctx)
+        m = _load_map(args.map, cfg.ctx, cfg.n)
     else:
-        m = make_induced(Automorphism.FLIP, Matrix.identity(n, ctx))
+        m = make_induced(Automorphism.FLIP, Matrix.identity(cfg.n, cfg.ctx))
     witness = find_spectrum_witness(m, cfg, args.budget,
                                     rank_one_only=rank_one_only)
     if witness is None:

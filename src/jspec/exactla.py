@@ -1,23 +1,24 @@
 """Exact dense linear algebra over K = Q(i, sqrt(d)).
 
 Matrices are immutable row-major arrays of K-scalars and all computation is
-exact: determinants by fraction-free Bareiss elimination, rank and kernels
-by Gauss-Jordan reduction, and column spaces canonicalized to a reduced
+exact: determinants by fraction-free elimination, rank and kernels by
+Gauss-Jordan reduction, and column spaces canonicalized to a reduced
 column echelon basis, so equal subspaces have equal bases.  Rank, kernel
 and column space all run on `Matrix.rref`, whose Gauss-Jordan touches only
 the live entries of a pivot step, the columns right of the pivot where the
 pivot row is nonzero, and forms each update x - f*y with one fused
-`scalar._sub_mul` (one gcd reduction instead of two).  The projection
-onto a column space is A (A*A)^{-1} A*, found by fraction-free Gauss-Jordan
-on the integral Gram matrix, which never leaves Z[i, sqrt(d)] until one
-division per entry at the end.  The same elimination, forward only, gives
-Gram determinants, which the closed-form pencil of `jspec.spectrum` uses.
+`scalar._sub_mul` (one gcd reduction instead of two).  `_bareiss` is the
+one fraction-free elimination, on the integer form of `jspec.scalar`: it
+gives `Matrix.det` on rows scaled into Z[i, sqrt(d)], Gram determinants
+for the closed-form pencil of `jspec.spectrum`, and, as Gauss-Jordan on the
+integral Gram matrix, the projection A (A*A)^{-1} A* onto a column space,
+with one division per entry at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from jspec.scalar import (
@@ -25,8 +26,13 @@ from jspec.scalar import (
     FieldContext,
     FieldElem,
     Scalarish,
+    _divide,
+    _dot4,
+    _integral,
     _mul4,
+    _real_inverse,
     _reduced,
+    _sub4,
     _sub_mul,
     format_scalar,
     parse_scalar,
@@ -240,28 +246,12 @@ class Matrix:
     # -- elimination -----------------------------------------------------------
 
     def det(self) -> FieldElem:
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant: `_bareiss` on rows scaled into Z[i, sqrt d]."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return self.ctx.one
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = self.ctx.one
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if m[r][k]), None)
-            if piv is None:
-                return self.ctx.zero
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            prev = m[k][k]
-        last = m[n - 1][n - 1]
-        return -last if sign < 0 else last
+        scaled = [_integral(row) for row in self.rows]
+        det = _bareiss([ints for _, ints in scaled], self.ctx.d)[0]
+        return _reduced(*det, prod(den for den, _ in scaled), self.ctx)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
@@ -372,7 +362,7 @@ def projection_onto(a: Matrix) -> Matrix:
     if r == 0:
         return Matrix.zeros(n, n, ctx)
     d = ctx.d
-    cols = [_integral(col) for col in a.columns()]
+    cols = [_integral(col)[1] for col in a.columns()]
     det, m = _gram_elimination(cols, d, adjoint=True)
     if not any(det):
         raise ValueError("columns are dependent")
@@ -392,72 +382,46 @@ def _gram_elimination(cols: Sequence[Sequence[tuple]], d: int,
                      adjoint: bool = False) -> tuple[tuple, list[list]]:
     """det G for the Gram matrix G = a*a of integral columns, and the rows.
 
-    `cols` are the columns of a as 4-int tuples in Z[i, sqrt d]
-    (`_integral`).  Fraction-free elimination (Bareiss 1968): step k
-    divides exactly by the k-th leading principal minor of G, which is real,
-    s + t sqrt d, since G is Hermitian.  That minor is the Gram determinant
-    of the first k columns, so at a zero pivot the columns are dependent
-    and det G = 0.  Returns det G as (s, t, 0, 0): (0, 0, 0, 0) at once at
-    a zero pivot, and (1, 0, 0, 0) for no columns.  Without `adjoint` only
-    the rows below each pivot are updated, which is all det G needs; with
-    it, Gauss-Jordan on every row turns [G | a*] into
-    [det G * I | adj(G) a*], and those rows are returned.
+    `cols` are the columns of a as 4-int tuples (`_integral`).  A zero
+    leading minor of G means its first columns are dependent, so `_bareiss`
+    never swaps rows here.  With `adjoint` it runs on the rows [G | a*],
+    whose last columns end as adj(G) a*.
     """
     conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
     m = [[_dot4(conj[j], col, d) for col in cols]
          + (conj[j] if adjoint else []) for j in range(len(cols))]
-    prev = (1, 0, 0, 0)
-    for k, top in enumerate(m):
-        piv = top[k]
-        if not any(piv):
-            return piv, m
-        for row in m if adjoint else m[k + 1:]:
+    return _bareiss(m, d, jordan=adjoint)
+
+
+def _bareiss(rows: list[list[tuple]], d: int,
+             jordan: bool = False) -> tuple[tuple, list[list]]:
+    """det A for the leading square block A of rows in Z[i, sqrt d], and rows.
+
+    Fraction-free elimination (Bareiss 1968) in place: step k sets each x
+    right of column k in another row to (p x - f y) / p', with p the pivot,
+    f the row's column-k entry, y the pivot row's and p' the last pivot, an
+    exact division.  A zero pivot swaps in a lower row and flips the sign;
+    with none, det A = 0 at once; no rows give 1.  Without `jordan` only
+    rows below a pivot are updated; with it every row is, and the columns
+    R right of A end as p A^-1 R for the last pivot p (det A without swaps).
+    """
+    n, sign, prev = len(rows), 1, (1, 0, 0, 0)
+    for k in range(n):
+        swap = next((r for r in range(k, n) if any(rows[r][k])), None)
+        if swap is None:
+            return (0, 0, 0, 0), rows
+        if swap != k:
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        top, piv = rows[k], rows[k][k]
+        for row in rows if jordan else rows[k + 1:]:
             if row is not top:
                 f = row[k]
                 row[k + 1:] = [
-                    _div_real(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
+                    _divide(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
                     for x, y in zip(row[k + 1:], top[k + 1:])]
         prev = piv
-    return prev, m
-
-
-def _real_inverse(w: tuple, d: int) -> tuple[tuple, int]:
-    """(y, norm) with 1 / w = y / norm, for a real w = s + t sqrt d != 0.
-
-    norm = s^2 - d t^2 = w * flip(w) is positive when w is positive in
-    both real embeddings, as a Gram determinant is.
-    """
-    s, t = w[0], w[1]
-    if t:
-        return (s, -t, 0, 0), s * s - d * t * t
-    return (1, 0, 0, 0), s
-
-
-def _integral(v: Sequence[FieldElem]) -> list[tuple[int, int, int, int]]:
-    """v times the lcm of its entry denominators, as 4-int tuples."""
-    forms = [x.integer_form() for x in v]
-    den = lcm(*(x[4] for x in forms))
-    return [tuple(c * (den // x[4]) for c in x[:4]) for x in forms]
-
-
-def _sub4(x: tuple, y: tuple) -> tuple[int, int, int, int]:
-    return x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]
-
-
-def _dot4(xs: Sequence[tuple], ys: Sequence[tuple], d: int) -> tuple:
-    a = b = c = e = 0
-    for x, y in zip(xs, ys):
-        p = _mul4(x, y, d)
-        a, b, c, e = a + p[0], b + p[1], c + p[2], e + p[3]
-    return a, b, c, e
-
-
-def _div_real(x: tuple, w: tuple, d: int) -> tuple[int, int, int, int]:
-    """x / w for w = s + t sqrt d, when the quotient lies in Z[i, sqrt d]."""
-    s, t = w[0], w[1]
-    if t:
-        x, s = _mul4(x, (s, -t, 0, 0), d), s * s - d * t * t
-    return x[0] // s, x[1] // s, x[2] // s, x[3] // s
+    return (prev if sign > 0 else tuple(-x for x in prev)), rows
 
 
 def gram_schmidt(a: Matrix) -> Matrix:

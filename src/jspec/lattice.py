@@ -2,8 +2,9 @@
 
 A Projection is built from a basis of its range; its matrix A (A*A)^{-1} A*
 is Hermitian and idempotent by construction, so nothing is checked, and it
-is built only when first read.  A matrix from outside (a JSON file, a sum
-of images) comes in through make_projection, the one place that checks it.
+is built only when first read.  A matrix from outside (the "matrix" form
+of a JSON file) comes in through make_projection, the one place that
+checks it.
 Each subspace of K^n has exactly one projection matrix, which makes
 projection equality plain matrix equality.  Meet and join work on range
 bases alone: join is the projection onto the sum of ranges, spanned by the

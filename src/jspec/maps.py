@@ -15,7 +15,6 @@ when the map preserves orthogonality.
 from __future__ import annotations
 
 import enum
-import functools
 from typing import Optional, Sequence
 
 from jspec.exactla import (
@@ -23,11 +22,11 @@ from jspec.exactla import (
     _as_elem,
     automorphism_entrywise,
     gram_schmidt,
-    hstack,
     matrix_from_json,
     matrix_to_json,
+    vdot,
 )
-from jspec.lattice import Projection, make_projection, rank_one, zero_projection
+from jspec.lattice import Projection, rank_one, zero_projection
 from jspec.scalar import Automorphism, FieldContext, Scalarish
 
 
@@ -220,30 +219,32 @@ def extend_join(m: ProjectionMap, p: Projection, *,
         if not mixer.det():
             raise ValueError("decomposition mixer must be invertible")
         basis = basis * mixer
-    lines = [rank_one_image(m, v).basis for v in basis.columns()]
-    return Projection(functools.reduce(hstack, lines).colspace_basis())
+    images = [m.vector_image(v) for v in basis.columns()]
+    return Projection(
+        Matrix._of_columns(images, m.ctx, m.n).colspace_basis())
 
 
 def extend_sum(m: ProjectionMap, p: Projection) -> Projection:
     """Sum of rank-one images over an orthogonal decomposition of p.
 
-    Requires the images to come out mutually orthogonal (raises
-    OrthogonalityError otherwise); when defined it is again a projection and
-    agrees with extend_join.
+    The decomposition is the lines through the Gram-Schmidt basis u_j of
+    the range; their images are the lines through w_j = B f(u_j).  Those
+    are mutually orthogonal iff vdot(w_s, w_t) = 0 for s != t (otherwise
+    OrthogonalityError is raised), and then their projections sum to the
+    projection onto span(w_j), which agrees with extend_join.
     """
     m._check_dim(p)
     if p.is_zero():
         return zero_projection(m.n, m.ctx)
     basis = gram_schmidt(p.basis.colspace_basis())
-    images = [rank_one_image(m, basis.col(j)) for j in range(basis.ncols)]
+    images = [m.vector_image(u) for u in basis.columns()]
     for s in range(len(images)):
         for t in range(s + 1, len(images)):
-            if not images[s].is_orthogonal_to(images[t]):
+            if vdot(images[s], images[t], m.ctx):
                 raise OrthogonalityError(
                     "images of an orthogonal decomposition are not "
                     "mutually orthogonal")
-    return make_projection(sum((q.matrix for q in images[1:]),
-                               images[0].matrix))
+    return Projection(Matrix._of_columns(images, m.ctx, m.n))
 
 
 # -- text form ----------------------------------------------------------------------------

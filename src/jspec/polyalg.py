@@ -24,7 +24,6 @@ certificate cannot prove goes through the multivariate GCDs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from jspec.scalar import (
@@ -33,6 +32,7 @@ from jspec.scalar import (
     ParseError,
     Scalarish,
     _Parser,
+    _integral,
     format_scalar,
     parse_scalar,
 )
@@ -564,13 +564,12 @@ def _restrict_to_line(p: MultiPoly, a: Expts, b: Expts) -> MultiPoly:
     coef * c^e contributes coef * D times the integer polynomial
     prod_l (a_l + b_l t)^(e_l), so the expansion runs on plain ints.
     """
-    forms = [(expts, coef.integer_form()) for expts, coef in p.terms.items()]
-    den = lcm(*(form[4] for _, form in forms))
+    coefs = _integral(list(p.terms.values()))[1]
     # powers[l][e]: the coefficients of (a_l + b_l t)^e, low degree first
     powers: list[list[list[int]]] = [[[1]] for _ in a]
     sums = [[0, 0, 0, 0] for _ in range(p.total_degree() + 1)]
-    for expts, (ca, cb, cc, ce, cden) in forms:
-        line = [den // cden]
+    for expts, (ca, cb, cc, ce) in zip(p.terms, coefs):
+        line = [1]
         for l, e in enumerate(expts):
             if e:
                 pw = powers[l]

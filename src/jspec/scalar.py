@@ -7,7 +7,9 @@ denominator, reduced by their joint gcd, so arithmetic runs on Python ints
 and equality is exact and componentwise.  K carries exactly four field
 automorphisms commuting with complex conjugation: identity, complex
 conjugation (i -> -i), the real flip (sqrt(d) -> -sqrt(d)), and their
-composition.
+composition.  Bulk exact work runs on the integer form, 4-int tuples in
+Z[i, sqrt(d)], whose helpers live here: `_integral` clears denominators,
+`_mul4`, `_sub4`, `_dot4` and `_divide` compute, `_reduced` reads back.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import enum
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 Scalarish = Union["FieldElem", int, Fraction]
@@ -365,6 +367,55 @@ def _mul4(x: tuple, y: tuple, d: int) -> tuple[int, int, int, int]:
             a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
             a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2),
             a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2)
+
+
+def _sub4(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    return x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]
+
+
+def _dot4(xs: Sequence[tuple], ys: Sequence[tuple], d: int) -> tuple:
+    a = b = c = e = 0
+    for x, y in zip(xs, ys):
+        p = _mul4(x, y, d)
+        a, b, c, e = a + p[0], b + p[1], c + p[2], e + p[3]
+    return a, b, c, e
+
+
+def _integral(v: Sequence[FieldElem]) -> tuple[int, list[tuple]]:
+    """(D, D * v as 4-int tuples), D the lcm of v's entry denominators."""
+    den = lcm(1, *(x._den for x in v))
+    out = []
+    for x in v:
+        f = den // x._den
+        out.append((x._a * f, x._b * f, x._c * f, x._e * f))
+    return den, out
+
+
+def _real_inverse(w: tuple, d: int) -> tuple[tuple, int]:
+    """(y, norm) with 1 / w = y / norm, for a real w = s + t sqrt d != 0.
+
+    norm = s^2 - d t^2 = w * flip(w) is positive when w is positive in
+    both real embeddings, as a Gram determinant is.
+    """
+    s, t = w[0], w[1]
+    if t:
+        return (s, -t, 0, 0), s * s - d * t * t
+    return (1, 0, 0, 0), s
+
+
+def _divide(x: tuple, w: tuple, d: int) -> tuple[int, int, int, int]:
+    """x / w for w != 0, when the quotient lies in Z[i, sqrt d].
+
+    A non-real w is first made real, s + t sqrt d, by conj(w), which the
+    flip of sqrt d then makes rational.
+    """
+    if w[2] or w[3]:
+        w_bar = (w[0], w[1], -w[2], -w[3])
+        x, w = _mul4(x, w_bar, d), _mul4(w, w_bar, d)
+    s, t = w[0], w[1]
+    if t:
+        x, s = _mul4(x, (s, -t, 0, 0), d), s * s - d * t * t
+    return x[0] // s, x[1] // s, x[2] // s, x[3] // s
 
 
 def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, factorial, isqrt, lcm
 from typing import Optional, Sequence
 
-from jspec.exactla import _gram_elimination, _integral, _real_inverse
+from jspec.exactla import _gram_elimination
 from jspec.lattice import (
     Projection,
     projection_from_json,
@@ -29,7 +29,14 @@ from jspec.polyalg import (
     divides,
     squarefree_part,
 )
-from jspec.scalar import FieldContext, FieldElem, _mul4, _reduced
+from jspec.scalar import (
+    FieldContext,
+    FieldElem,
+    _integral,
+    _mul4,
+    _real_inverse,
+    _reduced,
+)
 
 
 class JointSpectrum:
@@ -160,7 +167,7 @@ def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
     raises.  The coefficient is written as one reduced FieldElem.
     """
     k, d = len(projs), ctx.d
-    cols = [[_integral(col) for col in p.basis.columns()] for p in projs]
+    cols = [[_integral(col)[1] for col in p.basis.columns()] for p in projs]
     den = (1, 0, 0, 0)
     for a in cols:
         gram = _gram_elimination(a, d)[0]
@@ -210,17 +217,15 @@ def _scaled_entries(projs: Sequence[Projection]) -> tuple[Entries, list[int]]:
     here, before `_integer_pencil` trusts any rank; on the closed-form path
     (e <= 0) `_closed_form_pencil` makes it from the Gram determinants.
     """
-    forms = [[[x.integer_form() for x in row] for row in p.matrix.rows]
-             for p in projs]
-    dens = [lcm(*(x[4] for row in rows for x in row)) for rows in forms]
-    n = len(forms[0])
+    n = projs[0].n
     entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
-    for l, rows in enumerate(forms):
-        for r, row in enumerate(rows):
-            for j, (a, b, c, e, x_den) in enumerate(row):
-                if a or b or c or e:
-                    f = dens[l] // x_den
-                    entry[r][j].append((l, a * f, b * f, c * f, e * f))
+    dens = []
+    for l, p in enumerate(projs):
+        den, ints = _integral([x for row in p.matrix.rows for x in row])
+        dens.append(den)
+        for i, x in enumerate(ints):
+            if any(x):
+                entry[i // n][i % n].append((l, *x))
     return entry, dens
 
 

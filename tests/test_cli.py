@@ -357,6 +357,54 @@ def test_oversized_tuple_fails_fast(command, tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_files_fail_before_anything_is_built(tmp_path, capsys,
+                                                       monkeypatch):
+    # n = 200: building the projections or checking U*U = I takes tens of
+    # seconds; the sizes are read from the JSON first.
+    n = 200
+    zeros = {"d": 2, "rows": [["0"] * n for _ in range(n)]}
+    eye = {"d": 2, "rows": [["1" if i == j else "0" for j in range(n)]
+                            for i in range(n)]}
+    tuple_path = write(tmp_path / "t.json",
+                       {"projections": [{"matrix": zeros}, {"span": zeros}]})
+    maps = [write(tmp_path / "u.json", {"kind": "unitary", "U": eye}),
+            write(tmp_path / "b.json", {"kind": "induced", "f": "flip",
+                                        "B": eye})]
+
+    def never(*args):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr("jspec.cli.tuple_from_json", never)
+    monkeypatch.setattr("jspec.cli.map_from_json", never)
+    start = time.perf_counter()
+    for command in ("poly", "classify"):
+        code, out, err = run(capsys, [command, "--tuple", tuple_path])
+        assert (code, out) == (2, "")
+        assert "dimension n must be at most 12, got 200" in err
+    for path in maps:
+        for argv in (["verify", "--suite", "extension", "--trials", "1"],
+                     ["witness", "--kind", "flip-triple", "--budget", "1"]):
+            code, out, err = run(capsys, argv + ["--map", path])
+            assert (code, out, err) == \
+                (2, "", "error: map on K^200 applied to K^3\n")
+    assert time.perf_counter() - start < 5
+
+
+def test_default_k_error_names_the_default(capsys):
+    code, out, err = run(capsys, ["witness", "--kind", "flip-rank-one",
+                                  "--n", "12"])
+    assert (code, out) == (2, "")
+    assert err == ("usage error: tuple length k must be at most 10, got 13 "
+                   "(the --kind flip-rank-one default; pass --k)\n")
+    code, _, err = run(capsys, ["verify", "--suite", "lemma41", "--n", "12"])
+    assert code == 2 and "got 12 (the --suite lemma41 default; pass --k)" \
+        in err
+    code, _, err = run(capsys, ["witness", "--kind", "flip-rank-one",
+                                "--n", "12", "--k", "13"])
+    assert (code, err) == \
+        (2, "error: tuple length k must be at most 10, got 13\n")
+
+
 @pytest.mark.parametrize("point", ["1,2", "1,x,1"])
 def test_bad_point_fails_before_the_pencil(point, tmp_path, capsys):
     # the pencil of this dense triple in K^12 takes seconds

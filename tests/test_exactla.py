@@ -16,7 +16,8 @@ from jspec.exactla import (
     projection_onto,
     vdot,
 )
-from jspec.scalar import ALL_AUTOMORPHISMS, FieldContext, Automorphism, _sub_mul
+from jspec.scalar import (ALL_AUTOMORPHISMS, FieldContext, Automorphism,
+                          _divide, _integral, _mul4, _sub_mul)
 from fractions import Fraction
 from reference_linalg import det_leibniz, rref_reference, vstack
 
@@ -158,6 +159,83 @@ def test_elimination_matches_full_row_oracle(m):
     with mock.patch.object(Matrix, "rref", rref_reference):
         expected = (m.rank(), m.kernel_basis(), m.colspace_basis())
     assert (m.rank(), m.kernel_basis(), m.colspace_basis()) == expected
+
+
+@st.composite
+def det_inputs(draw):
+    """Square matrices, n = 0..5, over d = 2, 3 and 999999937.
+
+    Entries are fractional and often non-real, so rows get different
+    scales and the pivots leave the reals.  The top of some leading
+    columns is zeroed, which forces row swaps, and some rows are zero or
+    combinations of earlier rows, which makes the matrix singular.
+    """
+    ctx = FIELDS[draw(st.sampled_from((2, 3, 999999937)))]
+    n = draw(st.integers(0, 5))
+    rows = [[draw(scalars(ctx)) for _ in range(n)] for _ in range(n)]
+    for j in range(draw(st.integers(0, n))):
+        for i in range(draw(st.integers(0, max(n - 1, 0)))):
+            rows[i][j] = ctx.zero
+    for i in range(n):
+        kind = draw(st.sampled_from(("free",) * 6 + ("zero", "dependent")))
+        if kind == "zero":
+            rows[i] = [ctx.zero] * n
+        elif kind == "dependent" and i >= 1:
+            f, g = draw(scalars(ctx)), draw(scalars(ctx))
+            s, t = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [f * x + g * y for x, y in zip(rows[s], rows[t])]
+    return Matrix(rows, ctx, ncols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_inputs())
+def test_det_matches_leibniz_on_fractional_and_singular_input(m):
+    assert m.det() == det_leibniz(m)
+
+
+def test_det_with_row_swaps_and_non_real_pivots():
+    half = Fraction(1, 2)
+    for d in (2, 3, 999999937):
+        ctx = FIELDS[d]
+        i, r = ctx.i, ctx.sqrt_d
+        m = Matrix([[0, 1 + i, r * half],
+                    [(1 + i) * half, Fraction(1, 3), i],
+                    [r, 2 - i, (1 - r * i) * Fraction(1, 3)]], ctx)
+        assert m.det() == det_leibniz(m) != 0
+        singular = Matrix([[0, 0, i], [0, 0, r], [1 + i, half, 1]], ctx)
+        assert singular.det() == 0
+
+
+INTS = st.integers(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 999999937)), st.tuples(INTS, INTS, INTS, INTS),
+       st.sampled_from(("non-real", "real with sqrt d", "rational")),
+       st.tuples(INTS, INTS, INTS, INTS))
+def test_divide_undoes_mul4(d, x, kind, w):
+    w = {"non-real": w, "real with sqrt d": (w[0], w[1], 0, 0),
+         "rational": (w[0], 0, 0, 0)}[kind]
+    if kind == "non-real" and not (w[2] or w[3]):
+        w = (w[0], w[1], 1, w[3])
+    if kind == "real with sqrt d" and not w[1]:
+        w = (w[0], 1, 0, 0)
+    if not any(w):
+        w = (1, 0, 0, 0)
+    assert _divide(_mul4(x, w, d), w, d) == x
+
+
+def test_divide_fixed_cases():
+    for d in (2, 3, 999999937):
+        for w in ((1, 2, -3, 1), (0, 0, 0, -2), (3, -2, 0, 0), (-7, 0, 0, 0)):
+            x = (5, -1, 2, 9)
+            assert _divide(_mul4(x, w, d), w, d) == x
+
+
+def test_integral_clears_denominators():
+    assert _integral([]) == (1, [])
+    assert _integral([K.elem(Fraction(1, 3)), (1 + I_) / 2, R_]) == \
+        (6, [(2, 0, 0, 0), (3, 0, 3, 0), (0, 6, 0, 0)])
 
 
 @st.composite

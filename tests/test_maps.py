@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from jspec.exactla import Matrix
+from jspec.exactla import Matrix, gram_schmidt
 from jspec.lattice import (
     identity_projection,
+    make_projection,
     rank_one,
     zero_projection,
 )
@@ -272,6 +273,30 @@ def test_extend_sum_agrees_when_orthogonality_is_preserved():
         p = random_projection(rng, n)
         assert extend_sum(m, p) == m.apply(p)
     assert checked > 30
+
+
+def test_extend_sum_matches_the_sum_of_image_matrices():
+    """The image-vector extend_sum against summing rank-one image matrices."""
+    rng = random.Random(3017)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m, p = random_map(rng, n), random_projection(rng, n)
+        if p.is_zero():
+            continue
+        basis = gram_schmidt(p.basis.colspace_basis())
+        images = [rank_one_image(m, u) for u in basis.columns()]
+        skew = any(not images[s].is_orthogonal_to(images[t])
+                   for s in range(len(images))
+                   for t in range(s + 1, len(images)))
+        outcomes.add(skew)
+        if skew:
+            with pytest.raises(OrthogonalityError):
+                extend_sum(m, p)
+        else:
+            total = sum((q.matrix for q in images[1:]), images[0].matrix)
+            assert extend_sum(m, p) == make_projection(total)
+    assert outcomes == {False, True}
 
 
 def test_extend_sum_rejects_skew_images():
