@@ -68,19 +68,24 @@ def _rows_in(obj: object, key: str) -> int:
     return len(rows) if isinstance(rows, list) else 0
 
 
-def _load_tuple(path: str, ctx: FieldContext) -> list[Projection]:
-    """A tuple small enough for the pencil's exponential subset DP.
+def _check_n(path: str, forms: list) -> None:
+    """Raise unless every unparsed projection form has n <= MAX_N.
 
-    n and k are read from the JSON, as building a projection costs n^3.
+    n is read from the JSON, as building a projection costs n^3.
     """
+    n = max((max(_rows_in(p, "matrix"), _rows_in(p, "span"))
+             for p in forms), default=0)
+    if n > MAX_N:
+        raise UsageError(f"{path}: dimension n must be at most {MAX_N}, "
+                         f"got {n}")
+
+
+def _load_tuple(path: str, ctx: FieldContext) -> list[Projection]:
+    """A tuple small enough for the pencil's exponential subset DP."""
     obj = _load_json(path)
     items = obj.get("projections") if isinstance(obj, dict) else None
     if isinstance(items, list):
-        n = max((max(_rows_in(p, "matrix"), _rows_in(p, "span"))
-                 for p in items), default=0)
-        if n > MAX_N:
-            raise UsageError(f"{path}: dimension n must be at most {MAX_N}, "
-                             f"got {n}")
+        _check_n(path, items)
         if len(items) > MAX_K:
             raise UsageError(f"{path}: tuple length k must be at most "
                              f"{MAX_K}, got {len(items)}")
@@ -88,7 +93,9 @@ def _load_tuple(path: str, ctx: FieldContext) -> list[Projection]:
 
 
 def _load_projection(path: str, ctx: FieldContext) -> Projection:
-    return projection_from_json(_load_json(path), ctx)
+    obj = _load_json(path)
+    _check_n(path, [obj])
+    return projection_from_json(obj, ctx)
 
 
 def _load_map(path: str, ctx: FieldContext, n: int) -> ProjectionMap:

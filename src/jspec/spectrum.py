@@ -13,8 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from jspec.exactla import _gram_elimination
@@ -104,12 +103,27 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     Let r_l be the rank of P_l, read from its basis column count, and
     e = sum r_l - n the rank excess.  For e <= 0 the pencil has a closed
     form (`_closed_form_pencil`), and for e >= 1 it comes from the subset DP
-    (`_integer_pencil`, then `_rescaled`).
+    (`_packed_dp`, then `_rescaled`).
 
-    The closed form.  Let A_l be the range basis of P_l, G_l = A_l* A_l
-    its Gram matrix, so that P_l = A_l G_l^(-1) A_l*, and
-    U = [A_1 | ... | A_k], an n x (n + e) matrix.  Multiplying out the
-    blocks,
+    The Gram determinants.  Let A_l be the range basis of P_l with each
+    column cleared of denominators (`_integral`) and divided by the gcd of
+    its integer components, G_l = A_l* A_l its Gram matrix and g_l = det G_l
+    (`_gram_determinants`).  The projection onto a span does not depend on
+    the basis, so P_l = A_l G_l^(-1) A_l*, and G_l^(-1) = adj(G_l) / g_l
+    gives
+
+        g_l P_l = A_l adj(G_l) A_l*.
+
+    The entries of A_l lie in Z[i, sqrt d], so do those of G_l, and each
+    entry of adj(G_l) is a signed minor of G_l: a sum of products of its
+    entries.  So g_l P_l is a product of three matrices over Z[i, sqrt d],
+    and is integral.  G_l is Hermitian, so g_l is real and lies in
+    Z[sqrt d]; it is positive in both real embeddings, since the flip of
+    sqrt d maps G_l to the Gram matrix of the flipped, still independent,
+    columns.  A zero g_l means a dependent basis, which raises ValueError.
+
+    The closed form.  Let U = [A_1 | ... | A_k], an n x (n + e) matrix.
+    Multiplying out the blocks,
 
         sum c_l P_l = U * blockdiag(c_1 G_1^(-1), ..., c_k G_k^(-1)) * U*.
 
@@ -117,178 +131,161 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     0.  For e = 0 all three factors are n x n, and det is multiplicative:
 
         det(sum c_l P_l) = det U * prod_l det(c_l G_l^(-1)) * det U*
-                         = det(U* U) / prod_l det G_l * prod_l c_l^(r_l),
+                         = det(U* U) / prod_l g_l * prod_l c_l^(r_l),
 
-    since det(c_l G_l^(-1)) = c_l^(r_l) / det G_l and det U* det U =
+    since det(c_l G_l^(-1)) = c_l^(r_l) / g_l and det U* det U =
     det(U* U).  So the pencil is the one monomial c^r, or 0 when U is
     singular.  Its coefficient is a quotient of Gram determinants: real, in
     Q(sqrt d), positive in both real embeddings, and unchanged when a
-    column of A_l is scaled by s (both det(U* U) and det G_l gain |s|^2).
+    column of A_l is scaled by s (both det(U* U) and g_l gain |s|^2).
 
-    The DP is fraction-free.  Let D_l be the lcm of the denominators of the
-    entries of P_l and D the lcm of all D_l.  Every entry of D_l P_l lies
-    in Z[i, sqrt d], and
+    The DP is fraction-free.  It scales each P_l by a real s_l in
+    Z[sqrt d] that makes s_l P_l integral: g_l from n = GRAM_SCALE_N on,
+    and below it the lcm D_l of the denominators of P_l's entries.  With
+    q = det(sum c_l (s_l P_l)), substituting c_l / s_l for c_l gives
 
-        det(sum c_l P_l) = D^(-n) * sum_alpha q_alpha prod_l (D / D_l)^alpha_l
-                                  * c^alpha,
+        det(sum c_l P_l) = sum_alpha q_alpha / prod_l s_l^(alpha_l) * c^alpha,
 
-    where q = det(sum c_l (D_l P_l)) and |alpha| = n.  `_integer_pencil`
-    computes q with +, - and * only, and the rescaling by (D / D_l)^alpha_l
-    multiplies ints; Z[i, sqrt d] is closed under those, so no step before
-    the last leaves it: no division and no gcd.
-    The one normalization is the final product with the scalar D^(-n).
-    Scaling each P_l by its own D_l keeps the DP's integers about k times
-    shorter than one common scale would (both were timed side by side; the
-    numbers are in `BENCH_8.json`).  The DP holds each state either packed
-    into four ints or as a dict of monomials, whichever a cost model
-    predicts faster; see `_integer_pencil`.
-
-    Either way a dependent basis raises ValueError before the pencil is
-    returned, whatever e is.
+    over |alpha| = n.  `_packed_dp` computes q with +, - and * only, so no
+    step leaves Z[i, sqrt d]: no division and no gcd.  `_rescaled` divides
+    by the s_l once, at the end.  Scaling each P_l by its own D_l kept the
+    DP's integers about k times shorter than one common scale would (both
+    were timed side by side; the numbers are in `BENCH_8.json`).  The Gram
+    scale shortens them again: an irrational g_l leaves P_l's entries with
+    rational denominators only through its sqrt d conjugate, 1 / g_l =
+    flip(g_l) / (g_l flip(g_l)), so the entries of D_l P_l carry about
+    twice the bits of those of g_l P_l.
     """
     k, n, ctx = _check_tuple(projs)
     ranks = [p.rank for p in projs]
     if sum(ranks) <= n:
         return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
-    entry, dens = _scaled_entries(projs)
-    coefs = _integer_pencil(entry, ranks, ctx.d)
-    return JointSpectrum(k, n, _rescaled(coefs, dens, n, ctx))
+    grams = _gram_determinants(projs, ctx.d)[1] if n >= GRAM_SCALE_N else None
+    entry, scales = _scaled_entries(projs, grams)
+    coefs = _packed_dp(entry, ranks, ctx.d, _slot_width(entry, ctx.d))
+    return JointSpectrum(k, n, _rescaled(coefs, scales, n, ctx))
+
+
+# The DP scales P_l by its Gram determinant g_l from this n on, and by D_l
+# below it.  The g_l cost one Gram elimination per member, a fixed cost,
+# and about halve the slot width w, which saves a share of the DP's time.
+# Per pencil of random k = 3 tuples at d = 2, D_l against g_l (2-core x86
+# VM, Python 3.11): n = 5, ranks (2, 3, 4), 0.86 against 1.07 ms; n = 6,
+# (2, 3, 4), 1.90 against 1.94 ms; n = 7, (2, 4, 6), 5.8 against 4.9 ms;
+# n = 8, (3, 5, 6), 24.6 against 14.8 ms.  n = 6 is where they cross.
+GRAM_SCALE_N = 6
+
+
+def _gram_determinants(projs: Sequence[Projection],
+                       d: int) -> tuple[list[list[tuple]], list[tuple]]:
+    """The primitive integral basis columns and g_l of every P_l.
+
+    Each column of P_l's basis is cleared of denominators (`_integral`) and
+    divided by the gcd of its integer components, which keeps its span and
+    keeps g_l from gaining a square of a common factor.  g_l comes from
+    `exactla._gram_elimination`, and a zero one raises.
+    """
+    cols, grams = [], []
+    for p in projs:
+        a = []
+        for col in p.basis.columns():
+            ints = _integral(col)[1]
+            g = gcd(*(x for v in ints for x in v))
+            a.append([tuple(x // g for x in v) for v in ints] if g > 1
+                     else ints)
+        gram = _gram_elimination(a, d)[0]
+        if not any(gram):
+            raise ValueError("columns are dependent")
+        cols.append(a)
+        grams.append(gram)
+    return cols, grams
 
 
 def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
                         n: int, ctx: FieldContext) -> MultiPoly:
     """The pencil of a tuple with sum r_l <= n, in `pencil_poly`'s closed form.
 
-    The Gram determinants come from `exactla._gram_elimination` on the
-    integral columns of each basis, and det(U* U) from the same elimination
-    on all of them side by side; the same column scaling in both keeps the
-    quotient exact.  Each det G_l is checked first: a zero one means a
-    dependent basis, which raises the ValueError that reading its matrix
-    raises.  The coefficient is written as one reduced FieldElem.
+    The g_l come from `_gram_determinants`, which raises for a dependent
+    basis whatever e is, and det(U* U) from the same elimination on all of
+    their columns side by side.  The coefficient is written as one reduced
+    FieldElem.
     """
     k, d = len(projs), ctx.d
-    cols = [[_integral(col)[1] for col in p.basis.columns()] for p in projs]
-    den = (1, 0, 0, 0)
-    for a in cols:
-        gram = _gram_elimination(a, d)[0]
-        if not any(gram):
-            raise ValueError("columns are dependent")
-        den = _mul4(den, gram, d)
+    cols, grams = _gram_determinants(projs, d)
     if sum(ranks) < n:
         return MultiPoly.zero(k, ctx)
     num = _gram_elimination([col for a in cols for col in a], d)[0]
     if not any(num):
         return MultiPoly.zero(k, ctx)
+    den = (1, 0, 0, 0)
+    for gram in grams:
+        den = _mul4(den, gram, d)
     flip, norm = _real_inverse(den, d)
     a, b, _, _ = _mul4(num, flip, d)
     return MultiPoly._of(k, {tuple(ranks): _reduced(a, b, 0, 0, norm, ctx)},
                          ctx)
 
 
-def _rescaled(coefs: Coefficients, dens: Sequence[int], n: int,
+def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
               ctx: FieldContext) -> MultiPoly:
-    """The pencil from the DP's coefficients of det(sum c_l D_l P_l)."""
-    den = lcm(*dens)
+    """The pencil from the DP's coefficients q_alpha of det(sum c_l s_l P_l).
+
+    Each coefficient is q_alpha / prod_l s_l^(alpha_l).  With 1 / s_l =
+    y_l / N_l (`_real_inverse`) and N the lcm of the N_l, that is
+    q_alpha * prod_l (y_l N / N_l)^(alpha_l) / N^n, as |alpha| = n: the
+    products stay in Z[i, sqrt d], and N^n is the one denominator.
+    """
+    d = ctx.d
+    inverses = [_real_inverse(s, d) for s in scales]
+    den = lcm(*(norm for _, norm in inverses))
+    powers = []  # powers[l][a] = (y_l N / N_l)^a
+    for y, norm in inverses:
+        f, pw = _mul4(y, (den // norm, 0, 0, 0), d), [(1, 0, 0, 0)]
+        for _ in range(n):
+            pw.append(_mul4(pw[-1], f, d))
+        powers.append(pw)
     terms = {}
     for expts, v in coefs.items():
-        f = 1
-        for l, alpha in enumerate(expts):
-            f *= (den // dens[l]) ** alpha
-        terms[expts] = ctx.elem(*(x * f for x in v))
-    return MultiPoly(len(dens), terms, ctx) * ctx.elem(Fraction(1, den ** n))
+        for pw, alpha in zip(powers, expts):
+            if alpha:
+                v = _mul4(v, pw[alpha], d)
+        terms[expts] = ctx.elem(*v)
+    return MultiPoly(len(scales), terms, ctx) * ctx.elem(Fraction(1, den ** n))
 
 
 Entries = list[list[list[tuple[int, int, int, int, int]]]]
 Coefficients = dict[tuple[int, ...], tuple[int, int, int, int]]
 
-# The cost model of `_width_limit`, fit on the timed cases in `BENCH_12.json`:
-# one term of a dict state costs as much as TERM_BITS bits of big-int work,
-# and a bit of a packed state PACKED_COST times a bit of a dict coefficient.
-TERM_BITS = 1000
-PACKED_COST = 1.2
 
+def _scaled_entries(projs: Sequence[Projection],
+                    grams: Optional[Sequence[tuple]] = None,
+                    ) -> tuple[Entries, list[tuple]]:
+    """The entries of every s_l P_l in Z[i, sqrt d], and the s_l.
 
-def _scaled_entries(projs: Sequence[Projection]) -> tuple[Entries, list[int]]:
-    """The entries of every D_l P_l in Z[i, sqrt d], and the D_l.
-
-    entry[r][j] lists (l, A, B, C, E) for each l with (D_l P_l)_{rj} =
-    A + B sqrt d + (C + E sqrt d) i nonzero.  Reading `p.matrix` raises
-    for a dependent basis, so on the DP path (e >= 1) that check happens
-    here, before `_integer_pencil` trusts any rank; on the closed-form path
-    (e <= 0) `_closed_form_pencil` makes it from the Gram determinants.
+    s_l is grams[l] (`_gram_determinants`) when given, else the lcm D_l of
+    the denominators of P_l's entries.  Both are real and make s_l P_l
+    integral (`pencil_poly`); the Gram scale is computed as g_l (D_l P_l) /
+    D_l, an exact division.  entry[r][j] lists (l, A, B, C, E) for each l
+    with (s_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i nonzero.  Reading
+    `p.matrix` raises for a dependent basis, so on the DP path (e >= 1)
+    that check happens here or in `_gram_determinants`, before
+    `_packed_dp` trusts any rank.
     """
-    n = projs[0].n
+    n, d = projs[0].n, projs[0].ctx.d
     entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
-    dens = []
+    scales = []
     for l, p in enumerate(projs):
         den, ints = _integral([x for row in p.matrix.rows for x in row])
-        dens.append(den)
+        if grams is None:
+            scales.append((den, 0, 0, 0))
+        else:
+            scales.append(grams[l])
+            ints = [(a // den, b // den, c // den, e // den) for a, b, c, e
+                    in (_mul4(x, grams[l], d) for x in ints)]
         for i, x in enumerate(ints):
             if any(x):
                 entry[i // n][i % n].append((l, *x))
-    return entry, dens
-
-
-def _integer_pencil(entry: Entries, ranks: Sequence[int],
-                    d: int) -> Coefficients:
-    """Coefficients of det(sum c_l M_l) as 4-int tuples, M_l = D_l P_l.
-
-    `entry` is `_scaled_entries`'s and ranks[l] the rank of P_l.  Returns
-    {alpha: (A, B, C, E)} over the nonzero coefficients of c^alpha.
-
-    Both layouts run the same dynamic programming over columns: the state
-    after j columns maps each j-subset of rows to the signed sum of its
-    partial products, so work stays at 2^n states instead of n! permutation
-    terms.  They differ in how a state holds its polynomial:
-
-    - packed (`_packed_dp`): each of the four components is one int, the
-      polynomial evaluated at c_l = 2^(w R_l), so multiplying by c_l is a
-      shift and a state update is a few C-level big-int operations;
-    - dict (`_dict_dp`): {monomial: (A, B, C, E)}, a Python loop over the
-      terms of a state at each update.
-
-    Both give the same coefficients.  The packed layout runs iff the slot
-    width w is at most `_width_limit`, the width up to which a cost model
-    predicts it faster.
-    """
-    w = _slot_width(entry, d)
-    if w <= _width_limit(len(entry), tuple(ranks)):
-        return _packed_dp(entry, ranks, d, w)
-    return _dict_dp(entry, len(ranks), d)
-
-
-@lru_cache(maxsize=256)
-def _width_limit(n: int, ranks: tuple[int, ...]) -> float:
-    """Widest slot w at which packing n x n pencils of these ranks pays.
-
-    Packing multiplies the zero bits of every slot too: a w-bit slot holds a
-    coefficient of about w j / n bits after j columns, and the digits of a
-    state span the whole rank box, a multiple of its nonzero terms when the
-    ranks are high.  The dict layout pays Python overhead per term instead.
-    Per update at step j the model charges the packed layout PACKED_COST *
-    w * (digits a state spans) and the dict layout (terms of degree j in
-    the rank box) * (TERM_BITS + w j / n), weighted by the C(n, j) (n - j)
-    updates of the step.  Both are linear in w, so packing pays up to one
-    width.  In 51 of 52 timed tuples the model picked the faster layout,
-    and in the 52nd the two were within 5%.  The slot width alone does not
-    decide it: at d = 2, w = 597 ran 0.7x as fast packed at ranks
-    (9, 9, 9) and w = 777 1.8x as fast at (3, 6, 8).
-    """
-    radix = _radices(ranks)[0]
-    order = sorted(range(len(ranks)), key=radix.__getitem__, reverse=True)
-    terms = [1] + [0] * n  # terms[j]: exponents of degree j in the box
-    for rank in ranks:
-        terms = [sum(terms[max(0, j - rank):j + 1]) for j in range(n + 1)]
-    per_bit = fixed = 0.0  # dict cost - packed cost = fixed + w * per_bit
-    for j in range(n):
-        top, left = 0, j  # the highest digit: fill the largest radices first
-        for l in order:
-            alpha = min(ranks[l], left)
-            top, left = top + alpha * radix[l], left - alpha
-        weight = comb(n, j) * (n - j)
-        fixed += weight * terms[j] * TERM_BITS
-        per_bit += weight * (terms[j] * j / n - PACKED_COST * (top + 1))
-    return fixed / -per_bit if per_bit < 0 else float("inf")
+    return entry, scales
 
 
 def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:
@@ -312,7 +309,8 @@ def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:
 def _slot_width(entry: Entries, d: int) -> int:
     """Bits w of a packed slot, so every coefficient fits in a signed slot.
 
-    With s = isqrt(d) + 1 > sqrt d, N(x) = |A| + s|B| + |C| + s|E| bounds
+    `entry` holds the M_l = s_l P_l of `_scaled_entries`.  With
+    s = isqrt(d) + 1 > sqrt d, N(x) = |A| + s|B| + |C| + s|E| bounds
     each of x's four components, N(x + y) <= N(x) + N(y), and
     N(xy) <= N(x) N(y): each of the 16 products in `FieldElem.__mul__`'s
     formula lands in one component, with weight 1, s or d <= s^2 there
@@ -321,6 +319,8 @@ def _slot_width(entry: Entries, d: int) -> int:
     one l per column j, the signed products of (M_l)_{sigma(j) j}, so its N
     is at most n! * prod_j max_r sum_l N((M_l)_{rj}) = bound.  Then each
     component is below 2^(w-2), so it sits strictly inside a signed slot.
+    w grows with the bits of the scaled entries, so the scale that keeps
+    them short (`GRAM_SCALE_N`) keeps the slots narrow.
     """
     n, s = len(entry), isqrt(d) + 1
     bound = factorial(n)
@@ -337,7 +337,19 @@ def _slot_width(entry: Entries, d: int) -> int:
 
 def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
                w: int) -> Coefficients:
-    """The subset DP with each state packed as four ints of w-bit slots.
+    """Coefficients of det(sum c_l M_l) as 4-int tuples, M_l = s_l P_l.
+
+    `entry` is `_scaled_entries`'s, ranks[l] the rank of P_l and w the
+    slot width (`_slot_width`).  Returns {alpha: (A, B, C, E)} over the
+    nonzero coefficients of c^alpha.  The DP runs over columns: the state
+    after j columns maps each j-subset of rows to the signed sum of its
+    partial products, so work stays at 2^n states instead of n! permutation
+    terms.  Each state is packed as four ints of w-bit slots, one per
+    component, so multiplying by c_l is a shift and a state update is a
+    few C-level big-int operations.  A dict of monomials per state
+    (`dict_dp` in `tests/reference_pencil.py`) is the oracle: with the
+    scale `pencil_poly` picks, the packed layout was at least as fast on
+    every case of `tools/pencil_sizes.py` (`BENCH_18.json`).
 
     Monomial c^alpha sits at digit sum_l alpha_l R_l (`_radices`), so c_l
     is the shift by w R_l and the left-out variable is the shift by 0.  The
@@ -408,56 +420,6 @@ def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
         expts[last] = n - sum(expts)
         out[tuple(expts)] = v
     return out
-
-
-def _dict_dp(entry: Entries, k: int, d: int) -> Coefficients:
-    """The subset DP with each state a dict {monomial: (A, B, C, E)}.
-
-    A monomial c^alpha is one int key with alpha_l in bits width*l and up,
-    so multiplying by c_l adds 1 << width*l.
-    """
-    n = len(entry)
-    width = n.bit_length()  # exponents are at most n < 2**width
-    cells = [[[(1 << (width * l), a, b, c, e) for l, a, b, c, e in entry[r][j]]
-              for j in range(n)] for r in range(n)]
-    states: dict[int, dict[int, tuple[int, int, int, int]]] = {
-        0: {0: (1, 0, 0, 0)}}
-    for j in range(n):
-        nxt: dict[int, dict[int, tuple[int, int, int, int]]] = {}
-        for mask, acc in states.items():
-            for r in range(n):
-                bit = 1 << r
-                if mask & bit or not cells[r][j]:
-                    continue
-                negate = (mask >> (r + 1)).bit_count() & 1
-                out = nxt.setdefault(mask | bit, {})
-                for shift, a2, b2, c2, e2 in cells[r][j]:
-                    if negate:
-                        a2, b2, c2, e2 = -a2, -b2, -c2, -e2
-                    for key, (a1, b1, c1, e1) in acc.items():
-                        # FieldElem.__mul__'s product, without the reduction
-                        a = a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2)
-                        b = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
-                        c = a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2)
-                        e = a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2
-                        key += shift
-                        cur = out.get(key)
-                        if cur is not None:
-                            a += cur[0]
-                            b += cur[1]
-                            c += cur[2]
-                            e += cur[3]
-                        out[key] = (a, b, c, e)
-        states = {}
-        for mask, poly in nxt.items():
-            poly = {key: v for key, v in poly.items() if any(v)}
-            if poly:
-                states[mask] = poly
-        if not states:
-            break
-    low = (1 << width) - 1
-    return {tuple((key >> (width * l)) & low for l in range(k)): v
-            for key, v in states.get((1 << n) - 1, {}).items()}
 
 
 # -- zero-set comparison -----------------------------------------------------------

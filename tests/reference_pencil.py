@@ -1,13 +1,17 @@
-"""Reference pencils: the subset DP over `MultiPoly`s of `FieldElem`s, and
-the Leibniz expansion.
+"""Reference pencils: the subset DP over `MultiPoly`s of `FieldElem`s, the
+subset DP over dicts of integer monomials, and the Leibniz expansion.
 
 `pencil_poly` is the pencil determinant jspec computed before its DP moved
-to integer coefficients: `spectrum.pencil_poly` now scales each P_l by the
-lcm D_l of its own entry denominators, runs the DP on Z[i, sqrt d], and
-rescales at the end.  `pencil_poly_leibniz` expands the determinant over all
-n! permutations.  Both are kept as oracles for the differential tests in
-`tests/test_spectrum.py` and `tests/test_acceptance.py` and are not used by
-the package itself.
+to integer coefficients: `spectrum.pencil_poly` now scales each P_l by a
+real s_l that makes s_l P_l integral, runs the DP on Z[i, sqrt d], and
+rescales at the end.  `dict_dp` runs that DP on the same scaled entries
+(`spectrum._scaled_entries`) with each state a dict of monomials; it was
+`spectrum`'s second layout, picked by a cost model for wide slots, until
+the Gram-determinant scale made the packed layout the faster one on every
+timed case.  `pencil_poly_leibniz` expands the determinant over all n!
+permutations.  All three are kept as oracles for the differential tests in
+`tests/test_spectrum.py`, `tests/test_acceptance.py` and
+`tools/pencil_sizes.py`, and are not used by the package itself.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence
 
 from jspec.lattice import Projection
 from jspec.polyalg import MultiPoly
-from jspec.spectrum import JointSpectrum, _check_tuple
+from jspec.spectrum import Coefficients, Entries, JointSpectrum, _check_tuple
 
 
 def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
@@ -79,3 +83,53 @@ def pencil_poly_leibniz(projs: Sequence[Projection]) -> MultiPoly:
             term = term * entry[i][perm[i]]
         total = total + term
     return total
+
+
+def dict_dp(entry: Entries, k: int, d: int) -> Coefficients:
+    """The subset DP with each state a dict {monomial: (A, B, C, E)}.
+
+    A monomial c^alpha is one int key with alpha_l in bits width*l and up,
+    so multiplying by c_l adds 1 << width*l.
+    """
+    n = len(entry)
+    width = n.bit_length()  # exponents are at most n < 2**width
+    cells = [[[(1 << (width * l), a, b, c, e) for l, a, b, c, e in entry[r][j]]
+              for j in range(n)] for r in range(n)]
+    states: dict[int, dict[int, tuple[int, int, int, int]]] = {
+        0: {0: (1, 0, 0, 0)}}
+    for j in range(n):
+        nxt: dict[int, dict[int, tuple[int, int, int, int]]] = {}
+        for mask, acc in states.items():
+            for r in range(n):
+                bit = 1 << r
+                if mask & bit or not cells[r][j]:
+                    continue
+                negate = (mask >> (r + 1)).bit_count() & 1
+                out = nxt.setdefault(mask | bit, {})
+                for shift, a2, b2, c2, e2 in cells[r][j]:
+                    if negate:
+                        a2, b2, c2, e2 = -a2, -b2, -c2, -e2
+                    for key, (a1, b1, c1, e1) in acc.items():
+                        # FieldElem.__mul__'s product, without the reduction
+                        a = a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2)
+                        b = a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2
+                        c = a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2)
+                        e = a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2
+                        key += shift
+                        cur = out.get(key)
+                        if cur is not None:
+                            a += cur[0]
+                            b += cur[1]
+                            c += cur[2]
+                            e += cur[3]
+                        out[key] = (a, b, c, e)
+        states = {}
+        for mask, poly in nxt.items():
+            poly = {key: v for key, v in poly.items() if any(v)}
+            if poly:
+                states[mask] = poly
+        if not states:
+            break
+    low = (1 << width) - 1
+    return {tuple((key >> (width * l)) & low for l in range(k)): v
+            for key, v in states.get((1 << n) - 1, {}).items()}

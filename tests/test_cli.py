@@ -390,6 +390,29 @@ def test_oversized_files_fail_before_anything_is_built(tmp_path, capsys,
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("form", ["matrix", "span"])
+def test_oversized_projection_fails_before_it_is_built(form, tmp_path,
+                                                       capsys):
+    # n = 200: `lattice --op rank` on the zero matrix form ran 13 s before
+    # printing 0; n is read from the JSON first.
+    n = 200
+    big = write(tmp_path / "big.json",
+                {form: {"d": 2, "rows": [["0"] * n for _ in range(n)]}})
+    small = projection_file(tmp_path, rank_one([K.one, K.zero, K.zero]),
+                            "small.json")
+    unitary = write(tmp_path / "u.json", {
+        "kind": "unitary", "U": matrix_to_json(Matrix.identity(3, K))})
+    for argv in (["lattice", "--op", "rank", "--p", big],
+                 ["lattice", "--op", "meet", "--p", small, "--q", big],
+                 ["map-apply", "--p", big, "--map", unitary]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: {big}: dimension n must be at most 12, "
+                       "got 200\n")
+        assert time.perf_counter() - start < 5
+
+
 def test_default_k_error_names_the_default(capsys):
     code, out, err = run(capsys, ["witness", "--kind", "flip-rank-one",
                                   "--n", "12"])

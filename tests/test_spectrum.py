@@ -189,29 +189,20 @@ def layout_tuples(draw):
 @settings(max_examples=80, deadline=None)
 @given(layout_tuples())
 def test_packed_and_dict_layouts_agree(projs):
-    """Both DP layouts on the same scaled forms, whichever one would run.
+    """The packed DP against the reference dict DP, under both scales.
 
-    Small d keeps the slots narrow (mostly packed); d = 999999937 makes
-    them wide (dict).  Zero and identity members, zero pencils and
-    dependent lines all occur.
+    Small d keeps the slots narrow; d = 999999937 makes them wide.  Zero
+    and identity members, zero pencils and dependent lines all occur.
     """
     k, _, ctx = spectrum._check_tuple(projs)
-    entry, _ = spectrum._scaled_entries(projs)
     ranks = [p.rank for p in projs]
-    w = spectrum._slot_width(entry, ctx.d)
-    packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
-    assert packed == spectrum._dict_dp(entry, k, ctx.d)
-    assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
-
-
-def test_layout_choice_follows_the_cost_model():
-    limit = spectrum._width_limit
-    assert 233 <= limit(7, (2, 4, 6))  # a `pencil` triple at d = 2
-    assert 109 <= limit(10, (1,) * 10)  # n = k = 10 lines
-    assert 2985 > limit(8, (7, 7, 7))  # d = 999999937
-    assert 871 > limit(12, (9, 9, 9))
-    # ten rank-6 members of K^12: the box has 7^9 digits, the dict far fewer
-    assert 70 > limit(12, (6,) * 10)
+    grams = spectrum._gram_determinants(projs, ctx.d)[1]
+    for scale in (None, grams):
+        entry, _ = spectrum._scaled_entries(projs, scale)
+        w = spectrum._slot_width(entry, ctx.d)
+        packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
+        assert packed == reference_pencil.dict_dp(entry, k, ctx.d)
+        assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
 
 
 def test_packed_decode_raises_past_its_bound():
@@ -219,7 +210,7 @@ def test_packed_decode_raises_past_its_bound():
     p = diag_projection([1, 0])
     q = rank_one([K.one, K.elem(2)])  # D Q = [[1, 2], [2, 4]]
     entry, _ = spectrum._scaled_entries([p, q])
-    assert spectrum._dict_dp(entry, 2, 2) == {(1, 1): (4, 0, 0, 0)}
+    assert reference_pencil.dict_dp(entry, 2, 2) == {(1, 1): (4, 0, 0, 0)}
     assert spectrum._packed_dp(entry, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
     with pytest.raises(RuntimeError, match="proven bound"):
         spectrum._packed_dp(entry, [1, 1], 2, 2)
@@ -286,24 +277,26 @@ def excess_free_tuples(draw):
 def test_closed_form_pencil_matches_the_dp(projs):
     """e <= 0: the closed form against both DP layouts and Leibniz.
 
-    Both layouts run on the same scaled entries up to n = 7; at n = 8..10
-    only the one `_integer_pencil` picks, since the other can take seconds
-    (the two are compared at those sizes by `layout_tuples`).
+    The DP runs on the entries `pencil_poly` would scale for it (by D_l or
+    by the Gram determinants, as n is below GRAM_SCALE_N or not).  Both
+    layouts run up to n = 7; at n = 8..10 only the packed one, since the
+    reference dict DP can take seconds (the two are compared at those
+    sizes by `layout_tuples`).
     """
     k, n, ctx = spectrum._check_tuple(projs)
     ranks = [p.rank for p in projs]
     assert sum(ranks) <= n
     pencil = pencil_poly(projs).pencil
     assert all(p._matrix is None for p in projs)  # no matrix was built
-    entry, dens = spectrum._scaled_entries(projs)
+    grams = (spectrum._gram_determinants(projs, ctx.d)[1]
+             if n >= spectrum.GRAM_SCALE_N else None)
+    entry, scales = spectrum._scaled_entries(projs, grams)
+    w = spectrum._slot_width(entry, ctx.d)
+    layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
     if n <= 7:
-        w = spectrum._slot_width(entry, ctx.d)
-        layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w),
-                   spectrum._dict_dp(entry, k, ctx.d)]
-    else:
-        layouts = [spectrum._integer_pencil(entry, ranks, ctx.d)]
+        layouts.append(reference_pencil.dict_dp(entry, k, ctx.d))
     for coefs in layouts:
-        assert pencil == spectrum._rescaled(coefs, dens, n, ctx)
+        assert pencil == spectrum._rescaled(coefs, scales, n, ctx)
     if n <= 5:
         assert pencil == pencil_poly_leibniz(projs)
     if sum(ranks) < n:
@@ -317,16 +310,81 @@ def test_closed_form_pencil_matches_the_dp(projs):
 
 
 def test_dependent_basis_raises_whatever_the_excess():
-    """A basis with dependent columns raises before its rank is trusted."""
-    v, w = [K.one, I_, K.zero, R_], [K.zero, K.one, K.one, K.zero]
-    bad = Projection(Matrix.from_columns([v, w, [x + y for x, y in zip(v, w)]],
-                                         K))  # "rank 3", spans a plane
-    line = rank_one([K.one, K.zero, K.zero, K.one])
-    for projs in ([bad], [bad, line], [bad, line, line]):  # e = -1, 0, 1
-        with pytest.raises(ValueError, match="dependent"):
-            pencil_poly(projs)
-        with pytest.raises(ValueError, match="dependent"):
-            pencil_poly(projs[::-1])
+    """A basis with dependent columns raises before its rank is trusted.
+
+    n = 4 and 7 sit on either side of GRAM_SCALE_N, so at e = 1 the check
+    is made by reading the matrix and by `_gram_determinants`.
+    """
+    for n in (4, 7):
+        pad = [K.zero] * (n - 4)
+        v = [K.one, I_, K.zero, R_] + pad
+        w = [K.zero, K.one, K.one] + pad + [K.zero]
+        bad = Projection(Matrix.from_columns(
+            [v, w, [x + y for x, y in zip(v, w)]], K))  # "rank 3", a plane
+        line = rank_one([K.one] + [K.zero] * (n - 2) + [K.one])
+        # e = 3 - n, 0 and 1
+        for lines in (0, n - 3, n - 2):
+            projs = [bad] + [line] * lines
+            with pytest.raises(ValueError, match="columns are dependent"):
+                pencil_poly(projs)
+            with pytest.raises(ValueError, match="columns are dependent"):
+                pencil_poly(projs[::-1])
+
+
+@st.composite
+def gram_scale_tuples(draw):
+    """A tuple on K^n, n = 6..8, with rank excess e >= 1: the Gram-scaled DP.
+
+    k = 2 or 3 members of rank 0..n, the last one drawn so that the ranks
+    add up to more than n where it can be; at k = 3 the second member is at
+    will a repeat of the first.  Every basis column is multiplied by one
+    common factor: 1, an integer or a multiple of sqrt d.  The identity is
+    appended while e <= 0.
+    """
+    d = draw(st.sampled_from([2, 3, 999999937]))
+    ctx = FieldContext(d)
+    n = draw(st.integers(6, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    a, b = draw(st.sampled_from([(1, 0), (6, 0), (0, 1), (0, -3)]))
+    scale = ctx.elem(a, b)  # a + b sqrt d
+    projs, k = [], draw(st.integers(2, 3))
+    for l in range(k):
+        if l == 1 and k == 3 and draw(st.booleans()):
+            projs.append(projs[0])
+            continue
+        left = n + 1 - sum(p.rank for p in projs) if l == k - 1 else 0
+        rank = draw(st.integers(min(max(left, 0), n), n))
+        cols = [[x * scale for x in col] for col in
+                _independent(rng, pool, n, rank, ctx).columns()]
+        projs.append(Projection(Matrix.from_columns(cols, ctx, nrows=n)))
+    while sum(p.rank for p in projs) <= n:
+        projs.append(identity_projection(n, ctx))
+    return (scale if b == 0 else None), projs
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_scale_tuples())
+def test_gram_scaled_pencil_matches_the_reference_dp(drawn):
+    """n >= GRAM_SCALE_N, e >= 1: the pencil against the rescaled dict DP.
+
+    The reference runs on the D_l scale, so the two share only the
+    rescaling formula.  A common integer factor of a basis column leaves
+    its Gram determinant unchanged, since the columns are made primitive.
+    """
+    factor, projs = drawn  # factor: the integer factor, or None
+    k, n, ctx = spectrum._check_tuple(projs)
+    assert n >= spectrum.GRAM_SCALE_N and sum(p.rank for p in projs) > n
+    entry, dens = spectrum._scaled_entries(projs)
+    expected = spectrum._rescaled(reference_pencil.dict_dp(entry, k, ctx.d),
+                                  dens, n, ctx)
+    assert pencil_poly(projs).pencil == expected
+    if factor is not None:
+        plain = [Projection(Matrix.from_columns(
+            [[x / factor for x in col] for col in p.basis.columns()], ctx,
+            nrows=n)) for p in projs]
+        assert spectrum._gram_determinants(plain, ctx.d)[1] == \
+            spectrum._gram_determinants(projs, ctx.d)[1]
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Time the pencil determinant, its two DP layouts and its squarefree part.
+"""Time the pencil, its subset DP under two scales and its squarefree part.
 
     python3 tools/pencil_sizes.py [CASE ...]
 
@@ -19,17 +19,23 @@ rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
 on the largest cases, so those (``repeat`` below REPEAT) skip it, and time
 only ``sf``, once.
 
-The subset DP alone is then timed in its two layouts on the same scaled
-entries (`spectrum._scaled_entries`), taking turns:
+The subset DP alone is then timed on entries under both scales of
+`spectrum._scaled_entries`, taking turns:
 
-- ``packed``: `spectrum._packed_dp`, each state four ints of w-bit slots;
-- ``dict``: `spectrum._dict_dp`, each state a dict of monomials.
+- ``packed_lcm``: `spectrum._packed_dp` on each s_l P_l with s_l = D_l,
+  the lcm of P_l's entry denominators;
+- ``packed_gram``: `spectrum._packed_dp` with s_l = g_l, the Gram
+  determinant of P_l's primitive integral basis
+  (`spectrum._gram_determinants`);
+- ``dict``: `dict_dp` of `tests/reference_pencil.py` on the D_l entries,
+  each state a dict of monomials; `spectrum` ran it as its second layout
+  until the Gram scale made the packed layout the only one.
 
-Each row gives the slot width w of every tuple and the path that
-`pencil_poly` takes for it: ``closed form`` when the ranks add up to at
-most n, else ``packed`` iff w <= `spectrum._width_limit`, else ``dict``.
-On a closed-form tuple the two layouts time the DP that the closed form
-replaces.
+Each row gives the slot widths ``w_lcm`` and ``w_gram`` of every tuple
+and the path that `pencil_poly` takes for it: ``closed form`` when the
+ranks add up to at most n, else ``packed (gram)`` from
+n = `spectrum.GRAM_SCALE_N` on and ``packed (lcm)`` below it.  On a
+closed-form tuple the layouts time the DP that the closed form replaces.
 
 The squarefree part of each pencil is then timed the same way, two ways
 taking turns:
@@ -50,8 +56,9 @@ case prints one JSON line with the median and minimum wall seconds of each
 way, the number of pencil terms, how many pencils the certificate proves
 squarefree, the total degree of the pencils and of their squarefree parts,
 and digests of the printed pencils and squarefree parts.  The ways must
-agree, the two layouts must agree, and the pencil rescaled from the packed
-layout must equal `pencil_poly`'s.
+agree, the packed and dict layouts must agree on the same entries, and the
+pencil rescaled from the packed layout under either scale must equal
+`pencil_poly`'s.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from jspec import polyalg, spectrum  # noqa: E402
 from jspec.polyalg import format_poly  # noqa: E402
 from jspec.scalar import FieldContext  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
+from reference_pencil import dict_dp  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 
 REPEAT = 5
@@ -97,9 +105,14 @@ WAYS = {
     "per_projection": lambda projs: spectrum.pencil_poly(projs).pencil,
 }
 
+# Each input holds one tuple's entries under each scale ("lcm", "gram"),
+# their slot widths ("w_lcm", "w_gram"), ranks and d.
 LAYOUTS = {
-    "packed": lambda x: spectrum._packed_dp(*x),
-    "dict": lambda x: spectrum._dict_dp(x[0], len(x[1]), x[2]),
+    "packed_lcm": lambda x: spectrum._packed_dp(x["lcm"], x["ranks"], x["d"],
+                                                x["w_lcm"]),
+    "packed_gram": lambda x: spectrum._packed_dp(x["gram"], x["ranks"],
+                                                 x["d"], x["w_gram"]),
+    "dict": lambda x: dict_dp(x["lcm"], len(x["ranks"]), x["d"]),
 }
 
 SF_WAYS = {
@@ -146,27 +159,32 @@ def main(names: list[str]) -> int:
         if results.get("reference", results["per_projection"]) != \
                 results["per_projection"]:
             raise SystemExit(f"{name}: the two pencils differ")
-        dps, dens = [], []
+        dps = []
         for projs in tuples:
-            entry, scales = spectrum._scaled_entries(projs)
-            ranks = [p.rank for p in projs]
-            dps.append((entry, ranks, d, spectrum._slot_width(entry, d)))
-            dens.append(scales)
-        row["w"] = [x[3] for x in dps]
+            x = {"ranks": [p.rank for p in projs], "d": d}
+            grams = spectrum._gram_determinants(projs, d)[1]
+            for scale, s in (("lcm", None), ("gram", grams)):
+                x[scale], x["s_" + scale] = spectrum._scaled_entries(projs, s)
+                x["w_" + scale] = spectrum._slot_width(x[scale], d)
+            dps.append(x)
+        row["w_lcm"] = [x["w_lcm"] for x in dps]
+        row["w_gram"] = [x["w_gram"] for x in dps]
         row["path"] = [
-            "closed form" if sum(x[1]) <= len(x[0])
-            else "packed" if x[3] <= spectrum._width_limit(len(x[0]),
-                                                           tuple(x[1]))
-            else "dict" for x in dps]
+            "closed form" if sum(x["ranks"]) <= len(x["lcm"])
+            else "packed (gram)" if len(x["lcm"]) >= spectrum.GRAM_SCALE_N
+            else "packed (lcm)" for x in dps]
         layouts, times = timed(LAYOUTS, dps, repeat)
         row.update(times)
-        if layouts["packed"] != layouts["dict"]:
-            raise SystemExit(f"{name}: the two layouts differ")
+        if layouts["packed_lcm"] != layouts["dict"]:
+            raise SystemExit(f"{name}: the packed and dict layouts differ")
         ctx = FieldContext(d)
-        if results["per_projection"] != [
-                spectrum._rescaled(coefs, scales, len(x[0]), ctx)
-                for coefs, scales, x in zip(layouts["packed"], dens, dps)]:
-            raise SystemExit(f"{name}: pencil_poly and the DP differ")
+        for scale in ("lcm", "gram"):
+            if results["per_projection"] != [
+                    spectrum._rescaled(coefs, x["s_" + scale], len(x["lcm"]),
+                                       ctx)
+                    for coefs, x in zip(layouts["packed_" + scale], dps)]:
+                raise SystemExit(f"{name}: pencil_poly and packed_{scale} "
+                                 "differ")
         pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
