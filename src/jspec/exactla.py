@@ -12,13 +12,16 @@ one fraction-free elimination, on the integer form of `jspec.scalar`: it
 gives `Matrix.det` on rows scaled into Z[i, sqrt(d)], Gram determinants
 for the closed-form pencil of `jspec.spectrum`, and, as Gauss-Jordan on the
 integral Gram matrix, the projection A (A*A)^{-1} A* onto a column space,
-with one division per entry at the end.
+with one division per entry at the end.  The projection matrix keeps the
+integral form it was divided out of (`Matrix.scaled`), which the pencil DP
+reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from jspec.scalar import (
@@ -59,9 +62,16 @@ def _find_ctx(entries: Iterable[object]) -> Optional[FieldContext]:
 
 
 class Matrix:
-    """An immutable nrows x ncols matrix over K."""
+    """An immutable nrows x ncols matrix over K.
 
-    __slots__ = ("nrows", "ncols", "rows", "ctx")
+    `scaled` is None, or an integral form (s, upper) of a Hermitian matrix
+    M that its builder knew: s a real nonzero 4-int tuple in Z[sqrt d],
+    and upper the entries of s M on and above the diagonal, row by row, as
+    4-int tuples in Z[i, sqrt d]; those below are their conjugates.  Only
+    `projection_onto` sets it.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "ctx", "scaled")
 
     def __init__(self, rows: Sequence[Sequence[Scalarish]],
                  ctx: Optional[FieldContext] = None,
@@ -85,10 +95,11 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.ctx = ctx
+        self.scaled: Optional[tuple] = None
 
     @classmethod
     def _of(cls, rows: Iterable[Sequence[FieldElem]], ctx: FieldContext,
-            ncols: int) -> "Matrix":
+            ncols: int, scaled: Optional[tuple] = None) -> "Matrix":
         """A matrix from rows of FieldElems over ctx, with no entry check.
 
         Only for matrices built here from entries of checked matrices:
@@ -100,6 +111,7 @@ class Matrix:
         m.nrows = len(m.rows)
         m.ncols = ncols
         m.ctx = ctx
+        m.scaled = scaled
         return m
 
     @classmethod
@@ -352,30 +364,52 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 def projection_onto(a: Matrix) -> Matrix:
     """The matrix of the orthogonal projection onto the column space of a.
 
-    Computed as a (a*a)^{-1} a* on integers.  Each column of a is scaled by
-    the lcm of its entry denominators, which keeps its span and puts a and
-    G = a*a in Z[i, sqrt d].  `_gram_elimination` turns [G | a*] into
-    [det G * I | adj(G) a*], and each entry of the Hermitian a adj(G) a* is
-    divided by det G once.  No columns: the zero projection.
+    Computed as a (a*a)^{-1} a* on integers.  The columns of a are made
+    primitive and integral (`_primitive_columns`), which keeps their span
+    and puts a and G = a*a in Z[i, sqrt d].  `_gram_elimination` turns
+    [G | a*] into [g I | adj(G) a*] with g = det G, so the Hermitian
+    N = a adj(G) a* is g P, and each entry of P is that of N divided by g
+    once.  The matrix keeps g and N as its `scaled` form.  No columns: the
+    zero projection, with g = 1.
     """
     n, r, ctx = a.nrows, a.ncols, a.ctx
     if r == 0:
-        return Matrix.zeros(n, n, ctx)
+        return Matrix._of([[ctx.zero] * n] * n, ctx, n,
+                          scaled=((1, 0, 0, 0),
+                                  [(0, 0, 0, 0)] * (n * (n + 1) // 2)))
     d = ctx.d
-    cols = [_integral(col)[1] for col in a.columns()]
+    cols = _primitive_columns(a)
     det, m = _gram_elimination(cols, d, adjoint=True)
     if not any(det):
         raise ValueError("columns are dependent")
     flip, norm = _real_inverse(det, d)
     adj = list(zip(*(row[r:] for row in m)))  # columns of adj(G) a*
+    upper = []  # the entries of N on and above the diagonal, row by row
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         a_i = [col[i] for col in cols]
         for l in range(i, n):
-            x = _mul4(flip, _dot4(a_i, adj[l], d), d)
-            out[i][l] = _reduced(*x, norm, ctx)
+            x = _dot4(a_i, adj[l], d)
+            upper.append(x)
+            out[i][l] = _reduced(*_mul4(flip, x, d), norm, ctx)
             out[l][i] = out[i][l].conj()
-    return Matrix._of(out, ctx, n)
+    return Matrix._of(out, ctx, n, scaled=(det, upper))
+
+
+def _primitive_columns(a: Matrix) -> list[list[tuple]]:
+    """The columns of a as 4-int tuples, cleared and made primitive.
+
+    Each column is cleared of denominators (`_integral`) and divided by the
+    gcd of its integer components.  That keeps its span and keeps det(a*a)
+    from gaining the square of a common factor.
+    """
+    out = []
+    for col in a.columns():
+        ints = _integral(col)[1]
+        g = gcd(*chain.from_iterable(ints))
+        out.append([tuple(x // g for x in v) for v in ints] if g > 1
+                   else ints)
+    return out
 
 
 def _gram_elimination(cols: Sequence[Sequence[tuple]], d: int,

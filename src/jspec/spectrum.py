@@ -13,10 +13,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, isqrt, lcm
 from typing import Optional, Sequence
 
-from jspec.exactla import _gram_elimination
+from jspec.exactla import _gram_elimination, _primitive_columns
 from jspec.lattice import (
     Projection,
     projection_from_json,
@@ -94,6 +94,9 @@ def _check_tuple(projs: Sequence[Projection]) -> tuple[int, int, FieldContext]:
         if p.ctx.d != ctx.d:
             raise ValueError(
                 f"projections over d={ctx.d} and d={p.ctx.d} in one tuple")
+    if n == 0:
+        # det of the empty matrix is the constant 1, whose zero set is empty
+        raise ValueError("projections on K^0: dimension n must be at least 1")
     return len(projs), n, ctx
 
 
@@ -106,9 +109,9 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     (`_packed_dp`, then `_rescaled`).
 
     The Gram determinants.  Let A_l be the range basis of P_l with each
-    column cleared of denominators (`_integral`) and divided by the gcd of
-    its integer components, G_l = A_l* A_l its Gram matrix and g_l = det G_l
-    (`_gram_determinants`).  The projection onto a span does not depend on
+    column cleared of denominators and divided by the gcd of its integer
+    components (`exactla._primitive_columns`), G_l = A_l* A_l its Gram
+    matrix and g_l = det G_l.  The projection onto a span does not depend on
     the basis, so P_l = A_l G_l^(-1) A_l*, and G_l^(-1) = adj(G_l) / g_l
     gives
 
@@ -155,24 +158,33 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     rational denominators only through its sqrt d conjugate, 1 / g_l =
     flip(g_l) / (g_l flip(g_l)), so the entries of D_l P_l carry about
     twice the bits of those of g_l P_l.
+
+    Where the g_l come from.  `exactla.projection_onto` builds P_l as
+    (A_l adj(G_l) A_l*) / g_l from one elimination of G_l, and its matrix
+    keeps g_l and g_l P_l (`Matrix.scaled`).  The DP reads them from
+    `p.matrix` (`_scaled_entries`), so a member's Gram matrix is eliminated
+    once, when its matrix is built.  The closed form needs no matrix, so it
+    eliminates each G_l itself (`_gram_determinants`).
     """
     k, n, ctx = _check_tuple(projs)
     ranks = [p.rank for p in projs]
     if sum(ranks) <= n:
         return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
-    grams = _gram_determinants(projs, ctx.d)[1] if n >= GRAM_SCALE_N else None
-    entry, scales = _scaled_entries(projs, grams)
+    entry, scales = _scaled_entries(projs, n >= GRAM_SCALE_N)
     coefs = _packed_dp(entry, ranks, ctx.d, _slot_width(entry, ctx.d))
     return JointSpectrum(k, n, _rescaled(coefs, scales, n, ctx))
 
 
 # The DP scales P_l by its Gram determinant g_l from this n on, and by D_l
-# below it.  The g_l cost one Gram elimination per member, a fixed cost,
-# and about halve the slot width w, which saves a share of the DP's time.
-# Per pencil of random k = 3 tuples at d = 2, D_l against g_l (2-core x86
-# VM, Python 3.11): n = 5, ranks (2, 3, 4), 0.86 against 1.07 ms; n = 6,
-# (2, 3, 4), 1.90 against 1.94 ms; n = 7, (2, 4, 6), 5.8 against 4.9 ms;
-# n = 8, (3, 5, 6), 24.6 against 14.8 ms.  n = 6 is where they cross.
+# below it.  The g_l about halve the slot width w, which saves a share of
+# the DP's time.  These times, per pencil of random k = 3 tuples at d = 2,
+# D_l against g_l (2-core x86 VM, Python 3.11), were taken when g_l cost
+# a Gram elimination of its own per member: n = 5, ranks (2, 3, 4), 0.86
+# against 1.07 ms; n = 6, (2, 3, 4), 1.90 against 1.94 ms; n = 7,
+# (2, 4, 6), 5.8 against 4.9 ms; n = 8, (3, 5, 6), 24.6 against 14.8 ms.
+# Since g_l and g_l P_l come with the matrix (`exactla.projection_onto`),
+# that cost is gone, so the crossing may now lie below n = 6; it has not
+# been measured again.
 GRAM_SCALE_N = 6
 
 
@@ -180,19 +192,14 @@ def _gram_determinants(projs: Sequence[Projection],
                        d: int) -> tuple[list[list[tuple]], list[tuple]]:
     """The primitive integral basis columns and g_l of every P_l.
 
-    Each column of P_l's basis is cleared of denominators (`_integral`) and
-    divided by the gcd of its integer components, which keeps its span and
-    keeps g_l from gaining a square of a common factor.  g_l comes from
-    `exactla._gram_elimination`, and a zero one raises.
+    The columns come from `exactla._primitive_columns`, and g_l from
+    `exactla._gram_elimination` on them, the same g_l that
+    `projection_onto` keeps on P_l's matrix.  A zero one raises.  d is the
+    members' field parameter.
     """
     cols, grams = [], []
     for p in projs:
-        a = []
-        for col in p.basis.columns():
-            ints = _integral(col)[1]
-            g = gcd(*(x for v in ints for x in v))
-            a.append([tuple(x // g for x in v) for v in ints] if g > 1
-                     else ints)
+        a = _primitive_columns(p.basis)
         gram = _gram_elimination(a, d)[0]
         if not any(gram):
             raise ValueError("columns are dependent")
@@ -257,34 +264,42 @@ Entries = list[list[list[tuple[int, int, int, int, int]]]]
 Coefficients = dict[tuple[int, ...], tuple[int, int, int, int]]
 
 
-def _scaled_entries(projs: Sequence[Projection],
-                    grams: Optional[Sequence[tuple]] = None,
+def _scaled_entries(projs: Sequence[Projection], gram: bool = False,
                     ) -> tuple[Entries, list[tuple]]:
     """The entries of every s_l P_l in Z[i, sqrt d], and the s_l.
 
-    s_l is grams[l] (`_gram_determinants`) when given, else the lcm D_l of
-    the denominators of P_l's entries.  Both are real and make s_l P_l
-    integral (`pencil_poly`); the Gram scale is computed as g_l (D_l P_l) /
-    D_l, an exact division.  entry[r][j] lists (l, A, B, C, E) for each l
-    with (s_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i nonzero.  Reading
-    `p.matrix` raises for a dependent basis, so on the DP path (e >= 1)
-    that check happens here or in `_gram_determinants`, before
-    `_packed_dp` trusts any rank.
+    With `gram`, s_l is g_l, and g_l and the upper half of the Hermitian
+    g_l P_l are read from the integral form that P_l's matrix keeps
+    (`Matrix.scaled`, from `exactla.projection_onto`); else s_l is the lcm
+    D_l of the denominators of P_l's entries.  Both are real and make
+    s_l P_l integral (`pencil_poly`).  entry[r][j] lists (l, A, B, C, E)
+    for each l with (s_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i
+    nonzero.  Reading `p.matrix` raises for a dependent basis, so on the
+    DP path (e >= 1) that check happens here, before `_packed_dp` trusts
+    any rank.
     """
-    n, d = projs[0].n, projs[0].ctx.d
+    n = projs[0].n
     entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
     scales = []
     for l, p in enumerate(projs):
-        den, ints = _integral([x for row in p.matrix.rows for x in row])
-        if grams is None:
-            scales.append((den, 0, 0, 0))
+        m = p.matrix
+        if gram:
+            s, upper = m.scaled
+            cells = iter(upper)
+            for r in range(n):
+                for j in range(r, n):
+                    a, b, c, e = next(cells)
+                    if a or b or c or e:
+                        entry[r][j].append((l, a, b, c, e))
+                        if j != r:  # s_l P_l is Hermitian
+                            entry[j][r].append((l, a, b, -c, -e))
         else:
-            scales.append(grams[l])
-            ints = [(a // den, b // den, c // den, e // den) for a, b, c, e
-                    in (_mul4(x, grams[l], d) for x in ints)]
-        for i, x in enumerate(ints):
-            if any(x):
-                entry[i // n][i % n].append((l, *x))
+            den, ints = _integral([x for row in m.rows for x in row])
+            s = (den, 0, 0, 0)
+            for i, x in enumerate(ints):
+                if any(x):
+                    entry[i // n][i % n].append((l, *x))
+        scales.append(s)
     return entry, scales
 
 

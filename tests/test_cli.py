@@ -413,6 +413,19 @@ def test_oversized_projection_fails_before_it_is_built(form, tmp_path,
         assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv", [["poly"], ["classify"],
+                                  ["member", "--point", "1,1"]])
+def test_projections_on_k0_are_an_input_error(argv, tmp_path, capsys):
+    # the pencil of an empty matrix is the constant 1: no point lies in its
+    # zero set, which is no hypersurface
+    empty = {"d": 2, "rows": []}
+    path = write(tmp_path / "k0.json",
+                 {"projections": [{"matrix": empty}, {"span": empty}]})
+    code, out, err = run(capsys, [argv[0], "--tuple", path] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: projections on K^0: dimension n must be at least 1\n"
+
+
 def test_default_k_error_names_the_default(capsys):
     code, out, err = run(capsys, ["witness", "--kind", "flip-rank-one",
                                   "--n", "12"])

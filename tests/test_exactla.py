@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jspec.exactla import (
     Matrix,
+    _primitive_columns,
     automorphism_entrywise,
     gram_schmidt,
     hstack,
@@ -319,6 +320,36 @@ def test_projection_rejects_dependent_columns():
 def test_projection_of_empty_span_is_zero():
     a = Matrix.from_columns([], K, nrows=3)
     assert projection_onto(a) == Matrix.zeros(3, 3, K)
+    assert projection_onto(a).scaled == ((1, 0, 0, 0), [(0, 0, 0, 0)] * 6)
+
+
+def test_projection_keeps_its_gram_scaled_form():
+    """P.scaled is g and g P on and above the diagonal, row by row.
+
+    g = det(b* b) for the primitive columns b, and g P = b adj(b* b) b* is
+    integral; a common integer factor of a column changes neither g nor
+    g P, and only `projection_onto` sets the form.
+    """
+    half = Fraction(1, 2)
+    assert projection_onto(Matrix([[half], [half * I_]], K)).scaled == \
+        ((2, 0, 0, 0), [(1, 0, 0, 0), (0, 0, -1, 0), (1, 0, 0, 0)])
+    rng = random.Random(1008)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a = random_independent(rng, n, rng.randint(1, n))
+        p = projection_onto(a)
+        g, rows = p.scaled
+        assert g[2:] == (0, 0)
+        b = Matrix.from_columns([[K.elem(*x) for x in col]
+                                 for col in _primitive_columns(a)], K)
+        assert K.elem(*g) == (b.conj_transpose() * b).det()
+        n = p.nrows
+        assert [K.elem(*x) for x in rows] == \
+            [K.elem(*g) * p[i, j] for i in range(n) for j in range(i, n)]
+        tripled = Matrix.from_columns([[x * 3 for x in col]
+                                       for col in a.columns()], K)
+        assert projection_onto(tripled).scaled == p.scaled
+        assert (p * p).scaled is None and a.scaled is None
 
 
 # -- automorphisms entrywise -------------------------------------------------------

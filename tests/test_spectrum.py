@@ -86,6 +86,10 @@ def test_pencil_rejects_bad_tuples():
         pencil_poly([])
     with pytest.raises(ValueError):
         pencil_poly([zero_projection(2, K), zero_projection(3, K)])
+    # on K^0 the pencil would be the constant 1, whose zero set is empty
+    for projs in ([zero_projection(0, K)], [identity_projection(0, K)] * 2):
+        with pytest.raises(ValueError, match="K\\^0"):
+            pencil_poly(projs)
 
 
 def test_pencil_homogeneous_of_ambient_degree():
@@ -196,9 +200,8 @@ def test_packed_and_dict_layouts_agree(projs):
     """
     k, _, ctx = spectrum._check_tuple(projs)
     ranks = [p.rank for p in projs]
-    grams = spectrum._gram_determinants(projs, ctx.d)[1]
-    for scale in (None, grams):
-        entry, _ = spectrum._scaled_entries(projs, scale)
+    for gram in (False, True):
+        entry, _ = spectrum._scaled_entries(projs, gram)
         w = spectrum._slot_width(entry, ctx.d)
         packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
         assert packed == reference_pencil.dict_dp(entry, k, ctx.d)
@@ -288,9 +291,8 @@ def test_closed_form_pencil_matches_the_dp(projs):
     assert sum(ranks) <= n
     pencil = pencil_poly(projs).pencil
     assert all(p._matrix is None for p in projs)  # no matrix was built
-    grams = (spectrum._gram_determinants(projs, ctx.d)[1]
-             if n >= spectrum.GRAM_SCALE_N else None)
-    entry, scales = spectrum._scaled_entries(projs, grams)
+    entry, scales = spectrum._scaled_entries(projs,
+                                             n >= spectrum.GRAM_SCALE_N)
     w = spectrum._slot_width(entry, ctx.d)
     layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
     if n <= 7:
@@ -313,7 +315,8 @@ def test_dependent_basis_raises_whatever_the_excess():
     """A basis with dependent columns raises before its rank is trusted.
 
     n = 4 and 7 sit on either side of GRAM_SCALE_N, so at e = 1 the check
-    is made by reading the matrix and by `_gram_determinants`.
+    is made by reading the matrix for the D_l and for the Gram scale; at
+    e <= 0 `_gram_determinants` makes it.
     """
     for n in (4, 7):
         pad = [K.zero] * (n - 4)
@@ -322,13 +325,15 @@ def test_dependent_basis_raises_whatever_the_excess():
         bad = Projection(Matrix.from_columns(
             [v, w, [x + y for x, y in zip(v, w)]], K))  # "rank 3", a plane
         line = rank_one([K.one] + [K.zero] * (n - 2) + [K.one])
-        # e = 3 - n, 0 and 1
+        # e = 3 - n, 0 and 1; each call twice, as a first call that
+        # raised must leave nothing behind that lets the second one pass
         for lines in (0, n - 3, n - 2):
             projs = [bad] + [line] * lines
-            with pytest.raises(ValueError, match="columns are dependent"):
-                pencil_poly(projs)
-            with pytest.raises(ValueError, match="columns are dependent"):
-                pencil_poly(projs[::-1])
+            for _ in range(2):
+                with pytest.raises(ValueError, match="columns are dependent"):
+                    pencil_poly(projs)
+                with pytest.raises(ValueError, match="columns are dependent"):
+                    pencil_poly(projs[::-1])
 
 
 @st.composite
@@ -388,6 +393,61 @@ def test_gram_scaled_pencil_matches_the_reference_dp(drawn):
 
 
 @st.composite
+def shared_member_calls(draw):
+    """One pool of Projection objects, and the tuples of a run of pencils.
+
+    n = 4..7 sits on both sides of GRAM_SCALE_N, d is 2 or 999999937.  The
+    pool holds 3 or 4 members of rank 0..n.  Each call is a tuple of 1..4
+    pool indices, repeats allowed, in any order, so the calls revisit the
+    members in sub-tuples, permuted tuples and whole tuples, at e <= 0
+    (the closed form) and e >= 1 (the DP).  The whole pool comes first and
+    again, reversed, last.
+    """
+    d = draw(st.sampled_from([2, 999999937]))
+    ctx = FieldContext(d)
+    n = draw(st.integers(4, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    members = []
+    for _ in range(draw(st.integers(3, 4))):
+        rank = draw(st.integers(0, n))
+        members.append(zero_projection(n, ctx) if rank == 0 else
+                       Projection(_independent(rng, pool, n, rank, ctx)))
+    every = list(range(len(members)))
+    calls = draw(st.lists(st.lists(st.sampled_from(every), min_size=1,
+                                   max_size=4), min_size=1, max_size=5))
+    return members, [every] + calls + [every[::-1]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_member_calls())
+def test_revisited_members_give_the_pencils_of_fresh_copies(drawn):
+    """Pencils on shared members equal those on fresh Projections.
+
+    A member keeps its matrix, and with it g_l and g_l P_l (`Matrix.scaled`),
+    from the first pencil that builds it, so later pencils, in any order
+    and at either scale of the helpers, read what an earlier call left.
+    The g_l the DP reads from the matrix equal those the closed form
+    eliminates for itself.
+    """
+    members, calls = drawn
+    d = members[0].ctx.d
+    for call in calls:
+        projs = [members[i] for i in call]
+
+        def fresh():
+            return [Projection(p.basis) for p in projs]
+
+        assert pencil_poly(projs).pencil == pencil_poly(fresh()).pencil
+        grams = spectrum._gram_determinants(projs, d)[1]
+        assert grams == spectrum._gram_determinants(fresh(), d)[1]
+        assert spectrum._scaled_entries(projs, True)[1] == grams
+        for gram in (False, True):
+            assert spectrum._scaled_entries(projs, gram) == \
+                spectrum._scaled_entries(fresh(), gram)
+
+
+@st.composite
 def projection_pairs(draw):
     """(P, Q) on K^n, n = 2..6, with Q = P or sharing subspaces with P."""
     d = draw(st.sampled_from([2, 3, 5]))
@@ -428,6 +488,10 @@ def test_pencil_of_two_projections_matches_halmos(pair):
     pair is g blocks [[1, 0], [0, 0]] and [[cos², cs], [cs, sin²]] with
     determinant c1 c2 sin²: so det(c1 P + c2 Q) = K c1^(a+g) c2^(b+g)
     (c1 + c2)^m with K the real positive product of the sin², or 0 iff z > 0.
+    K is positive in both real embeddings of Q(sqrt d), as the flip of
+    sqrt d maps the pair to a pair with the same dimensions.  The pair
+    facts follow: the ranges span K^n iff z = 0, so (1, 1) is outside the
+    spectrum iff z = 0, and (1, -1) iff also m = 0.
     """
     p, q = pair
     n, ctx = p.n, p.ctx
@@ -436,6 +500,8 @@ def test_pencil_of_two_projections_matches_halmos(pair):
     m, z = p.meet(q).rank, pc.meet(qc).rank
     g, odd = divmod(n - a - b - m - z, 2)
     assert odd == 0 and g >= 0
+    assert pair_facts(p, q) == PairFacts(z == 0, m == 0, z == 0,
+                                         z == 0 and m == 0)
     pencil = pencil_poly([p, q]).pencil
     if z:
         assert pencil.is_zero()
@@ -444,6 +510,7 @@ def test_pencil_of_two_projections_matches_halmos(pair):
     shape = c1 ** (a + g) * c2 ** (b + g) * (c1 + c2) ** m
     scale = pencil.terms[(a + g, b + g + m)]
     assert scale.is_real() and scale.real_sign() > 0
+    assert Automorphism.FLIP(scale).real_sign() > 0
     assert pencil == shape * MultiPoly.const(2, scale, ctx)
 
 

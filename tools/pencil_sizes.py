@@ -7,17 +7,30 @@ root of a jspec source tree; the program is imported from its
 ``src`` directory and the reference from ``tests``.  Each case is built as
 the benchmark's `pencil` workload builds its triples
 (`verify.random_projection` with a fixed seed), and each way is timed
-REPEAT times, the two ways taking turns:
+REPEAT times, the ways taking turns.  One timing runs a way over the
+case's tuples as many times as fill MIN_TIMING_S (at least once, counted
+after one untimed warm-up pass; a way timed only once gets one pass and
+no warm-up), and the row gives the seconds per pass, so that a
+millisecond pencil is not read off a single call:
 
 - ``reference``: the `MultiPoly` subset DP of `tests/reference_pencil.py`,
   which `spectrum.pencil_poly` ran before its DP became fraction-free;
-- ``per_projection``: `spectrum.pencil_poly`, which scales each P_l by its
-  own D_l, or takes the closed form when the ranks add up to at most n.
+- ``per_projection``: `spectrum.pencil_poly` on the same `Projection`
+  objects every pass, so after the warm-up each member's matrix, and
+  with it g_l P_l (`Matrix.scaled`), is already built: the revisit path;
+- ``fresh``: `spectrum.pencil_poly` on new `Projection` objects built from
+  the same bases for every call, so each pass builds every matrix
+  (`exactla.projection_onto`) again, as the suites do for the
+  projections they draw.
+
+Both pencil ways take the closed form when the ranks add up to at most n,
+and else scale each P_l by its Gram determinant g_l from
+n = `spectrum.GRAM_SCALE_N` on and by D_l below it.
 
 One common denominator D for every P_l was timed as a third way and
 rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
 on the largest cases, so those (``repeat`` below REPEAT) skip it, and time
-only ``sf``, once.
+only ``sf``, in one timing of one pass.
 
 The subset DP alone is then timed on entries under both scales of
 `spectrum._scaled_entries`, taking turns:
@@ -25,8 +38,8 @@ The subset DP alone is then timed on entries under both scales of
 - ``packed_lcm``: `spectrum._packed_dp` on each s_l P_l with s_l = D_l,
   the lcm of P_l's entry denominators;
 - ``packed_gram``: `spectrum._packed_dp` with s_l = g_l, the Gram
-  determinant of P_l's primitive integral basis
-  (`spectrum._gram_determinants`);
+  determinant of P_l's primitive integral basis, read with g_l P_l from
+  P_l's matrix (`Matrix.scaled`);
 - ``dict``: `dict_dp` of `tests/reference_pencil.py` on the D_l entries,
   each state a dict of monomials; `spectrum` ran it as its second layout
   until the Gram scale made the packed layout the only one.
@@ -51,14 +64,14 @@ rank-one lines (the `lemma41` shape), 9 lines on K^10 (pencil 0) and 10
 lines on K^9 (the `rank-one-k` shapes), n = 12 at ranks (9, 9, 9), and two
 at d = 2 whose pencils have a repeated factor, so that the certificate
 fails and ``sf`` runs the GCD loop (``n6_repeated``, ranks (5, 5, 5), and
-``n7_repeated``, ranks (6, 6, 6)).  Each
-case prints one JSON line with the median and minimum wall seconds of each
-way, the number of pencil terms, how many pencils the certificate proves
-squarefree, the total degree of the pencils and of their squarefree parts,
-and digests of the printed pencils and squarefree parts.  The ways must
-agree, the packed and dict layouts must agree on the same entries, and the
-pencil rescaled from the packed layout under either scale must equal
-`pencil_poly`'s.
+``n7_repeated``, ranks (6, 6, 6)).  Each case prints one JSON line with
+the median and minimum wall seconds per pass of each way and its passes
+per timing, the number of pencil terms, how many pencils the certificate
+proves squarefree, the total degree of the pencils and of their
+squarefree parts, and digests of the printed pencils and squarefree
+parts.  The ways must agree, the packed and dict layouts must agree on
+the same entries, and the pencil rescaled from the packed layout under
+either scale must equal `pencil_poly`'s.
 """
 
 from __future__ import annotations
@@ -69,12 +82,14 @@ import os
 import random
 import statistics
 import sys
+from math import ceil
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from jspec import polyalg, spectrum  # noqa: E402
+from jspec.lattice import Projection  # noqa: E402
 from jspec.polyalg import format_poly  # noqa: E402
 from jspec.scalar import FieldContext  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
@@ -82,6 +97,7 @@ from reference_pencil import dict_dp  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 
 REPEAT = 5
+MIN_TIMING_S = 0.2  # a timing repeats its pass until it lasts this long
 # name: (d, [(n, ranks, seed), ...], repeat)
 CASES = {
     "pool": (2, [(6, (2, 3, 4), 1000 + i) for i in range(16)]
@@ -103,6 +119,8 @@ CASES = {
 WAYS = {
     "reference": lambda projs: reference(projs).pencil,
     "per_projection": lambda projs: spectrum.pencil_poly(projs).pencil,
+    "fresh": lambda projs: spectrum.pencil_poly(
+        [Projection(p.basis) for p in projs]).pencil,
 }
 
 # Each input holds one tuple's entries under each scale ("lcm", "gram"),
@@ -122,15 +140,28 @@ SF_WAYS = {
 
 
 def timed(ways: dict, inputs: list, repeat: int) -> tuple[dict, dict]:
-    """Outputs of each way on the inputs, and its median and minimum time."""
-    results, times = {}, {way: [] for way in ways}
+    """Outputs of each way on the inputs, and its median and minimum time.
+
+    With more than one timing, the untimed warm-up pass of each way sets
+    its number of passes per timing; one timing is one pass.  The times
+    are per pass.
+    """
+    results, passes = {}, {way: 1 for way in ways}
+    for way, fn in ways.items():
+        if repeat > 1:
+            start = perf_counter()
+            results[way] = [fn(x) for x in inputs]
+            passes[way] = ceil(MIN_TIMING_S / (perf_counter() - start))
+    times = {way: [] for way in ways}
     for _ in range(repeat):
         for way, fn in ways.items():
             start = perf_counter()
-            results[way] = [fn(x) for x in inputs]
-            times[way].append(perf_counter() - start)
-    return results, {way: {"median_s": round(statistics.median(seconds), 4),
-                           "min_s": round(min(seconds), 4)}
+            for _ in range(passes[way]):
+                results[way] = [fn(x) for x in inputs]
+            times[way].append((perf_counter() - start) / passes[way])
+    return results, {way: {"median_s": round(statistics.median(seconds), 6),
+                           "min_s": round(min(seconds), 6),
+                           "passes": passes[way]}
                      for way, seconds in times.items()}
 
 
@@ -153,18 +184,18 @@ def main(names: list[str]) -> int:
             tuples.append([random_projection(cfg, r, rng) for r in ranks])
         row = {"case": name, "d": d, "tuples": len(tuples), "repeat": repeat}
         ways = WAYS if repeat == REPEAT else {
-            "per_projection": WAYS["per_projection"]}
+            way: fn for way, fn in WAYS.items() if way != "reference"}
         results, times = timed(ways, tuples, repeat)
         row.update(times)
-        if results.get("reference", results["per_projection"]) != \
-                results["per_projection"]:
-            raise SystemExit(f"{name}: the two pencils differ")
+        if any(pencils != results["per_projection"]
+               for pencils in results.values()):
+            raise SystemExit(f"{name}: the pencils differ")
         dps = []
         for projs in tuples:
             x = {"ranks": [p.rank for p in projs], "d": d}
-            grams = spectrum._gram_determinants(projs, d)[1]
-            for scale, s in (("lcm", None), ("gram", grams)):
-                x[scale], x["s_" + scale] = spectrum._scaled_entries(projs, s)
+            for scale, gram in (("lcm", False), ("gram", True)):
+                x[scale], x["s_" + scale] = spectrum._scaled_entries(projs,
+                                                                     gram)
                 x["w_" + scale] = spectrum._slot_width(x[scale], d)
             dps.append(x)
         row["w_lcm"] = [x["w_lcm"] for x in dps]
@@ -189,7 +220,8 @@ def main(names: list[str]) -> int:
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
         # The n = 12 pencil is not certified, so `sf` runs the GCD loop,
-        # for a minute and a half: the large cases time `sf` once.
+        # for a minute and a half: the large cases time `sf` in one timing
+        # of one pass.
         sf_ways = SF_WAYS if repeat == REPEAT else {"sf": SF_WAYS["sf"]}
         sfs, times = timed(sf_ways, pencils, repeat if repeat == REPEAT else 1)
         row.update(times)
