@@ -9,8 +9,9 @@ the live entries of a pivot step, the columns right of the pivot where the
 pivot row is nonzero, and forms each update x - f*y with one fused
 `scalar._sub_mul` (one gcd reduction instead of two).  `_bareiss` is the
 one fraction-free elimination, on the integer form of `jspec.scalar`: it
-gives `Matrix.det` on rows scaled into Z[i, sqrt(d)], Gram determinants
-for the closed-form pencil of `jspec.spectrum`, and, as Gauss-Jordan on the
+gives `Matrix.det` on rows scaled into Z[i, sqrt(d)], the Gram
+determinants and, as Gauss-Jordan, the Cramer kernel vector for the
+closed-form pencils of `jspec.spectrum`, and, as Gauss-Jordan on the
 integral Gram matrix, the projection A (A*A)^{-1} A* onto a column space,
 with one division per entry at the end.  The projection matrix keeps the
 integral form it was divided out of (`Matrix.scaled`), which the pencil DP
@@ -438,6 +439,9 @@ def _bareiss(rows: list[list[tuple]], d: int,
     with none, det A = 0 at once; no rows give 1.  Without `jordan` only
     rows below a pivot are updated; with it every row is, and the columns
     R right of A end as p A^-1 R for the last pivot p (det A without swaps).
+    Each pivot stays on the diagonal, so a zero det leaves its first zero
+    diagonal entry at the first column k of A in the span of columns
+    0..k-1.
     """
     n, sign, prev = len(rows), 1, (1, 0, 0, 0)
     for k in range(n):

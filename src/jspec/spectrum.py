@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm
 from typing import Optional, Sequence
 
-from jspec.exactla import _gram_elimination, _primitive_columns
+from jspec.exactla import _bareiss, _gram_elimination, _primitive_columns
 from jspec.lattice import (
     Projection,
     projection_from_json,
@@ -31,7 +31,7 @@ from jspec.polyalg import (
 from jspec.scalar import (
     FieldContext,
     FieldElem,
-    _integral,
+    _dot4,
     _mul4,
     _real_inverse,
     _reduced,
@@ -104,8 +104,8 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     """Joint spectrum via the symbolic determinant of c1*P1 + ... + ck*Pk.
 
     Let r_l be the rank of P_l, read from its basis column count, and
-    e = sum r_l - n the rank excess.  For e <= 0 the pencil has a closed
-    form (`_closed_form_pencil`), and for e >= 1 it comes from the subset DP
+    e = sum r_l - n the rank excess.  For e <= 1 the pencil has a closed
+    form (`_closed_form_pencil`), and for e >= 2 it comes from the subset DP
     (`_packed_dp`, then `_rescaled`).
 
     The Gram determinants.  Let A_l be the range basis of P_l with each
@@ -125,10 +125,11 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     sqrt d maps G_l to the Gram matrix of the flipped, still independent,
     columns.  A zero g_l means a dependent basis, which raises ValueError.
 
-    The closed form.  Let U = [A_1 | ... | A_k], an n x (n + e) matrix.
-    Multiplying out the blocks,
+    The closed form.  Let U = [A_1 | ... | A_k], an n x (n + e) matrix,
+    and D = blockdiag(c_1 G_1^(-1), ..., c_k G_k^(-1)).  Multiplying out
+    the blocks,
 
-        sum c_l P_l = U * blockdiag(c_1 G_1^(-1), ..., c_k G_k^(-1)) * U*.
+        sum c_l P_l = U D U*.
 
     For e < 0 the right side has rank at most n + e < n, so the pencil is
     0.  For e = 0 all three factors are n x n, and det is multiplicative:
@@ -138,24 +139,57 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
 
     since det(c_l G_l^(-1)) = c_l^(r_l) / g_l and det U* det U =
     det(U* U).  So the pencil is the one monomial c^r, or 0 when U is
-    singular.  Its coefficient is a quotient of Gram determinants: real, in
-    Q(sqrt d), positive in both real embeddings, and unchanged when a
-    column of A_l is scaled by s (both det(U* U) and g_l gain |s|^2).
+    singular.
 
-    The DP is fraction-free.  It scales each P_l by a real s_l in
-    Z[sqrt d] that makes s_l P_l integral: g_l from n = GRAM_SCALE_N on,
-    and below it the lcm D_l of the denominators of P_l's entries.  With
-    q = det(sum c_l (s_l P_l)), substituting c_l / s_l for c_l gives
+    For e = 1, U has n + 1 columns; write U_i for U without column i.
+    Cauchy-Binet over the n-subsets of its columns gives
 
-        det(sum c_l P_l) = sum_alpha q_alpha / prod_l s_l^(alpha_l) * c^alpha,
+        det(U D U*) = sum_(i, j) det U_i * det D_(i, j) * conj(det U_j),
+
+    with D_(i, j) the minor of D without row i and column j.  D is block
+    diagonal.  If i and j lie in different blocks, the r_m rows of D_(i, j)
+    from j's block m meet only its r_m - 1 remaining columns, so the minor
+    is 0.  If both lie in block l, D_(i, j) is block diagonal again, and
+    Jacobi's complementary-minor identity, here the adjugate formula for
+    G_l = (G_l^(-1))^(-1), gives the minor of G_l^(-1) without row i and
+    column j as (-1)^(i+j) (G_l)_(j, i) / g_l.  So
+
+        det D_(i, j) = (-1)^(i+j) (G_l)_(j, i) c^(r - e_l) / prod_m g_m,
+
+    with e_l the l-th unit vector.  Put v_i = (-1)^i det U_i, the Cramer
+    vector, which spans the kernel of U when U has rank n, and
+    (G_l)_(j, i) = a_j* a_i for the columns a of A_l.  The double sum over
+    block l is then (sum_j v_j a_j)* (sum_i v_i a_i), so
+
+        det(sum c_l P_l) = sum_l |A_l v_l|^2 / prod_m g_m * c^(r - e_l),
+
+    where v_l is the block-l part of v.  Any kernel vector w = lambda v
+    with |lambda| = 1 gives the same terms.  One fraction-free Gauss-Jordan
+    pass (`exactla._bareiss`) on U's rows, with a column j whose deletion
+    leaves a nonsingular block moved last, gives such a w: its column-j
+    entry is minus the last pivot, +-det U_j, so lambda = +-1.  If no
+    block is nonsingular, rank U < n and the pencil is 0.
+
+    Each closed-form coefficient is a quotient of a Hermitian norm or Gram
+    determinant by the g_l: real, in Q(sqrt d), positive in both real
+    embeddings (the flip of sqrt d maps each norm to the norm of the
+    flipped vectors), and unchanged when a column of A_l is scaled by s
+    (numerator and g_l both gain |s|^2).  No projection matrix is built.
+
+    The DP is fraction-free.  It scales each P_l by its g_l, so that
+    M_l = g_l P_l is integral.  With q = det(sum c_l M_l), substituting
+    c_l / g_l for c_l gives
+
+        det(sum c_l P_l) = sum_alpha q_alpha / prod_l g_l^(alpha_l) * c^alpha,
 
     over |alpha| = n.  `_packed_dp` computes q with +, - and * only, so no
     step leaves Z[i, sqrt d]: no division and no gcd.  `_rescaled` divides
-    by the s_l once, at the end.  Scaling each P_l by its own D_l kept the
-    DP's integers about k times shorter than one common scale would (both
-    were timed side by side; the numbers are in `BENCH_8.json`).  The Gram
-    scale shortens them again: an irrational g_l leaves P_l's entries with
-    rational denominators only through its sqrt d conjugate, 1 / g_l =
+    by the g_l once, at the end.  Scaling each P_l by its own g_l keeps the
+    DP's integers about k times shorter than one common scale would (timed
+    side by side, with the lcm of each P_l's entry denominators in place of
+    g_l; the numbers are in `BENCH_8.json`).  The Gram scale also beats
+    that lcm D_l: an irrational g_l leaves P_l's entries with rational
+    denominators only through its sqrt d conjugate, 1 / g_l =
     flip(g_l) / (g_l flip(g_l)), so the entries of D_l P_l carry about
     twice the bits of those of g_l P_l.
 
@@ -168,24 +202,11 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     """
     k, n, ctx = _check_tuple(projs)
     ranks = [p.rank for p in projs]
-    if sum(ranks) <= n:
+    if sum(ranks) <= n + 1:
         return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
-    entry, scales = _scaled_entries(projs, n >= GRAM_SCALE_N)
+    entry, scales = _scaled_entries(projs)
     coefs = _packed_dp(entry, ranks, ctx.d, _slot_width(entry, ctx.d))
     return JointSpectrum(k, n, _rescaled(coefs, scales, n, ctx))
-
-
-# The DP scales P_l by its Gram determinant g_l from this n on, and by D_l
-# below it.  The g_l about halve the slot width w, which saves a share of
-# the DP's time.  These times, per pencil of random k = 3 tuples at d = 2,
-# D_l against g_l (2-core x86 VM, Python 3.11), were taken when g_l cost
-# a Gram elimination of its own per member: n = 5, ranks (2, 3, 4), 0.86
-# against 1.07 ms; n = 6, (2, 3, 4), 1.90 against 1.94 ms; n = 7,
-# (2, 4, 6), 5.8 against 4.9 ms; n = 8, (3, 5, 6), 24.6 against 14.8 ms.
-# Since g_l and g_l P_l come with the matrix (`exactla.projection_onto`),
-# that cost is gone, so the crossing may now lie below n = 6; it has not
-# been measured again.
-GRAM_SCALE_N = 6
 
 
 def _gram_determinants(projs: Sequence[Projection],
@@ -210,27 +231,72 @@ def _gram_determinants(projs: Sequence[Projection],
 
 def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
                         n: int, ctx: FieldContext) -> MultiPoly:
-    """The pencil of a tuple with sum r_l <= n, in `pencil_poly`'s closed form.
+    """The pencil of a tuple with sum r_l <= n + 1, in `pencil_poly`'s form.
 
     The g_l come from `_gram_determinants`, which raises for a dependent
-    basis whatever e is, and det(U* U) from the same elimination on all of
-    their columns side by side.  The coefficient is written as one reduced
+    basis whatever e is.  At e = 0, det(U* U) comes from the same
+    elimination on all of their columns side by side; at e = 1 the norms
+    |A_l v_l|^2 come from `_kernel_vector`.  Each coefficient is its
+    numerator times the one inverse of prod_l g_l, written as one reduced
     FieldElem.
     """
     k, d = len(projs), ctx.d
     cols, grams = _gram_determinants(projs, d)
-    if sum(ranks) < n:
-        return MultiPoly.zero(k, ctx)
-    num = _gram_elimination([col for a in cols for col in a], d)[0]
-    if not any(num):
-        return MultiPoly.zero(k, ctx)
+    u = [col for a in cols for col in a]
+    nums = {}
+    if len(u) == n:
+        nums[tuple(ranks)] = _gram_elimination(u, d)[0]
+    elif len(u) == n + 1:
+        v = _kernel_vector(u, d)
+        if v is not None:
+            parts = iter(v)
+            for l, a in enumerate(cols):
+                block = [next(parts) for _ in a]
+                x = [_dot4(row, block, d) for row in zip(*a)]  # A_l v_l
+                expts = list(ranks)
+                expts[l] -= 1
+                nums[tuple(expts)] = _dot4(
+                    [(y[0], y[1], -y[2], -y[3]) for y in x], x, d)
     den = (1, 0, 0, 0)
     for gram in grams:
         den = _mul4(den, gram, d)
     flip, norm = _real_inverse(den, d)
-    a, b, _, _ = _mul4(num, flip, d)
-    return MultiPoly._of(k, {tuple(ranks): _reduced(a, b, 0, 0, norm, ctx)},
-                         ctx)
+    terms = {}
+    for expts, num in nums.items():
+        if any(num):
+            a, b, _, _ = _mul4(num, flip, d)
+            terms[expts] = _reduced(a, b, 0, 0, norm, ctx)
+    return MultiPoly._of(k, terms, ctx)
+
+
+def _kernel_vector(u: list[list[tuple]], d: int) -> Optional[list[tuple]]:
+    """+-v for the Cramer vector v of U, or None when rank U < n.
+
+    `u` holds the n + 1 columns of the n x (n + 1) matrix U as 4-int
+    tuples, and v_i = (-1)^i det U_i (`pencil_poly`).  A fraction-free
+    Gauss-Jordan pass (`exactla._bareiss`) on U's rows with column j moved
+    last ends with p x in that column, where A = U_j, A x = u_j and p is
+    the last pivot, +-det A.  Put back in U's column order, w = (p x, -p)
+    has U w = p A x - p u_j = 0.  When A is nonsingular, U has rank n, so
+    its kernel is the line of v, and w_j = -p = +-v_j makes w = +-v.
+
+    The first pass moves the last column.  If its A is singular, the pass
+    stops at the first column k of U that depends on columns 0..k-1.  If U
+    has rank n, its kernel vector is then nonzero at k, so U_k is
+    nonsingular and the second pass moves column k last.  A second
+    singular block means rank U < n.
+    """
+    n = j = len(u) - 1
+    for _ in range(2):
+        order = u[:j] + u[j + 1:] + [u[j]]
+        det, rows = _bareiss([list(row) for row in zip(*order)], d,
+                             jordan=True)
+        if any(det):
+            w = [row[n] for row in rows]
+            w.insert(j, tuple(-x for x in rows[n - 1][n - 1]))
+            return w
+        j = next(m for m in range(n) if not any(rows[m][m]))
+    return None
 
 
 def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
@@ -264,41 +330,30 @@ Entries = list[list[list[tuple[int, int, int, int, int]]]]
 Coefficients = dict[tuple[int, ...], tuple[int, int, int, int]]
 
 
-def _scaled_entries(projs: Sequence[Projection], gram: bool = False,
+def _scaled_entries(projs: Sequence[Projection],
                     ) -> tuple[Entries, list[tuple]]:
-    """The entries of every s_l P_l in Z[i, sqrt d], and the s_l.
+    """The entries of every g_l P_l in Z[i, sqrt d], and the g_l.
 
-    With `gram`, s_l is g_l, and g_l and the upper half of the Hermitian
-    g_l P_l are read from the integral form that P_l's matrix keeps
-    (`Matrix.scaled`, from `exactla.projection_onto`); else s_l is the lcm
-    D_l of the denominators of P_l's entries.  Both are real and make
-    s_l P_l integral (`pencil_poly`).  entry[r][j] lists (l, A, B, C, E)
-    for each l with (s_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i
-    nonzero.  Reading `p.matrix` raises for a dependent basis, so on the
-    DP path (e >= 1) that check happens here, before `_packed_dp` trusts
-    any rank.
+    g_l and the upper half of the Hermitian g_l P_l are read from the
+    integral form that P_l's matrix keeps (`Matrix.scaled`, from
+    `exactla.projection_onto`).  entry[r][j] lists (l, A, B, C, E) for each
+    l with (g_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i nonzero.
+    Reading `p.matrix` raises for a dependent basis, so on the DP path
+    (e >= 2) that check happens here, before `_packed_dp` trusts any rank.
     """
     n = projs[0].n
     entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
     scales = []
     for l, p in enumerate(projs):
-        m = p.matrix
-        if gram:
-            s, upper = m.scaled
-            cells = iter(upper)
-            for r in range(n):
-                for j in range(r, n):
-                    a, b, c, e = next(cells)
-                    if a or b or c or e:
-                        entry[r][j].append((l, a, b, c, e))
-                        if j != r:  # s_l P_l is Hermitian
-                            entry[j][r].append((l, a, b, -c, -e))
-        else:
-            den, ints = _integral([x for row in m.rows for x in row])
-            s = (den, 0, 0, 0)
-            for i, x in enumerate(ints):
-                if any(x):
-                    entry[i // n][i % n].append((l, *x))
+        s, upper = p.matrix.scaled
+        cells = iter(upper)
+        for r in range(n):
+            for j in range(r, n):
+                a, b, c, e = next(cells)
+                if a or b or c or e:
+                    entry[r][j].append((l, a, b, c, e))
+                    if j != r:  # g_l P_l is Hermitian
+                        entry[j][r].append((l, a, b, -c, -e))
         scales.append(s)
     return entry, scales
 
@@ -324,7 +379,8 @@ def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:
 def _slot_width(entry: Entries, d: int) -> int:
     """Bits w of a packed slot, so every coefficient fits in a signed slot.
 
-    `entry` holds the M_l = s_l P_l of `_scaled_entries`.  With
+    `entry` holds matrices M_l over Z[i, sqrt d], such as the
+    M_l = g_l P_l of `_scaled_entries`.  With
     s = isqrt(d) + 1 > sqrt d, N(x) = |A| + s|B| + |C| + s|E| bounds
     each of x's four components, N(x + y) <= N(x) + N(y), and
     N(xy) <= N(x) N(y): each of the 16 products in `FieldElem.__mul__`'s
@@ -335,7 +391,7 @@ def _slot_width(entry: Entries, d: int) -> int:
     is at most n! * prod_j max_r sum_l N((M_l)_{rj}) = bound.  Then each
     component is below 2^(w-2), so it sits strictly inside a signed slot.
     w grows with the bits of the scaled entries, so the scale that keeps
-    them short (`GRAM_SCALE_N`) keeps the slots narrow.
+    them short (the Gram scale of `pencil_poly`) keeps the slots narrow.
     """
     n, s = len(entry), isqrt(d) + 1
     bound = factorial(n)
@@ -354,8 +410,9 @@ def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
                w: int) -> Coefficients:
     """Coefficients of det(sum c_l M_l) as 4-int tuples, M_l = s_l P_l.
 
-    `entry` is `_scaled_entries`'s, ranks[l] the rank of P_l and w the
-    slot width (`_slot_width`).  Returns {alpha: (A, B, C, E)} over the
+    `entry` holds integral M_l for real s_l, such as `_scaled_entries`'
+    g_l P_l, ranks[l] is the rank of P_l and w the slot width
+    (`_slot_width`).  Returns {alpha: (A, B, C, E)} over the
     nonzero coefficients of c^alpha.  The DP runs over columns: the state
     after j columns maps each j-subset of rows to the signed sum of its
     partial products, so work stays at 2^n states instead of n! permutation

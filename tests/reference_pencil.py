@@ -2,14 +2,17 @@
 subset DP over dicts of integer monomials, and the Leibniz expansion.
 
 `pencil_poly` is the pencil determinant jspec computed before its DP moved
-to integer coefficients: `spectrum.pencil_poly` now scales each P_l by a
-real s_l that makes s_l P_l integral, runs the DP on Z[i, sqrt d], and
-rescales at the end.  `dict_dp` runs that DP on the same scaled entries
-(`spectrum._scaled_entries`) with each state a dict of monomials; it was
-`spectrum`'s second layout, picked by a cost model for wide slots, until
-the Gram-determinant scale made the packed layout the faster one on every
-timed case.  `pencil_poly_leibniz` expands the determinant over all n!
-permutations.  All three are kept as oracles for the differential tests in
+to integer coefficients: `spectrum.pencil_poly` now scales each P_l by its
+Gram determinant g_l, which makes g_l P_l integral, runs the DP on
+Z[i, sqrt d], and rescales at the end.  `dict_dp` runs that DP on scaled
+entries (`spectrum._scaled_entries`, or `lcm_entries`) with each state a
+dict of monomials; it was `spectrum`'s second layout, picked by a cost
+model for wide slots, until the Gram-determinant scale made the packed
+layout the faster one on every timed case.  `lcm_entries` scales each P_l
+by the lcm of its entry denominators instead, so a DP on its entries
+shares nothing with `pencil_poly`'s but the rescaling formula.
+`pencil_poly_leibniz` expands the determinant over all n! permutations.
+All four are kept as oracles for the differential tests in
 `tests/test_spectrum.py`, `tests/test_acceptance.py` and
 `tools/pencil_sizes.py`, and are not used by the package itself.
 """
@@ -21,6 +24,7 @@ from typing import Sequence
 
 from jspec.lattice import Projection
 from jspec.polyalg import MultiPoly
+from jspec.scalar import _integral
 from jspec.spectrum import Coefficients, Entries, JointSpectrum, _check_tuple
 
 
@@ -133,3 +137,23 @@ def dict_dp(entry: Entries, k: int, d: int) -> Coefficients:
     low = (1 << width) - 1
     return {tuple((key >> (width * l)) & low for l in range(k)): v
             for key, v in states.get((1 << n) - 1, {}).items()}
+
+
+def lcm_entries(projs: Sequence[Projection]) -> tuple[Entries, list[tuple]]:
+    """`spectrum._scaled_entries` with s_l = D_l in place of g_l.
+
+    D_l is the lcm of the denominators of P_l's entries, read from its
+    matrix, so D_l P_l is integral.  Returns the entries in the layout
+    `_packed_dp` and `dict_dp` read, and the D_l as 4-int tuples for
+    `spectrum._rescaled`.
+    """
+    n = projs[0].n
+    entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
+    scales = []
+    for l, p in enumerate(projs):
+        den, ints = _integral([x for row in p.matrix.rows for x in row])
+        for i, x in enumerate(ints):
+            if any(x):
+                entry[i // n][i % n].append((l, *x))
+        scales.append((den, 0, 0, 0))
+    return entry, scales

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_pencil
 from reference_pencil import pencil_poly_leibniz
@@ -193,15 +193,17 @@ def layout_tuples(draw):
 @settings(max_examples=80, deadline=None)
 @given(layout_tuples())
 def test_packed_and_dict_layouts_agree(projs):
-    """The packed DP against the reference dict DP, under both scales.
+    """The packed DP against the reference dict DP, under two scales.
 
-    Small d keeps the slots narrow; d = 999999937 makes them wide.  Zero
-    and identity members, zero pencils and dependent lines all occur.
+    The Gram scale of `_scaled_entries` and the lcm scale of the reference
+    `lcm_entries`.  Small d keeps the slots narrow; d = 999999937 makes
+    them wide.  Zero and identity members, zero pencils and dependent lines
+    all occur.
     """
     k, _, ctx = spectrum._check_tuple(projs)
     ranks = [p.rank for p in projs]
-    for gram in (False, True):
-        entry, _ = spectrum._scaled_entries(projs, gram)
+    for entry, _ in (spectrum._scaled_entries(projs),
+                     reference_pencil.lcm_entries(projs)):
         w = spectrum._slot_width(entry, ctx.d)
         packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
         assert packed == reference_pencil.dict_dp(entry, k, ctx.d)
@@ -211,7 +213,7 @@ def test_packed_and_dict_layouts_agree(projs):
 def test_packed_decode_raises_past_its_bound():
     """A slot too narrow for a coefficient raises instead of misreading it."""
     p = diag_projection([1, 0])
-    q = rank_one([K.one, K.elem(2)])  # D Q = [[1, 2], [2, 4]]
+    q = rank_one([K.one, K.elem(2)])  # 5 Q = [[1, 2], [2, 4]]
     entry, _ = spectrum._scaled_entries([p, q])
     assert reference_pencil.dict_dp(entry, 2, 2) == {(1, 1): (4, 0, 0, 0)}
     assert spectrum._packed_dp(entry, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
@@ -280,9 +282,8 @@ def excess_free_tuples(draw):
 def test_closed_form_pencil_matches_the_dp(projs):
     """e <= 0: the closed form against both DP layouts and Leibniz.
 
-    The DP runs on the entries `pencil_poly` would scale for it (by D_l or
-    by the Gram determinants, as n is below GRAM_SCALE_N or not).  Both
-    layouts run up to n = 7; at n = 8..10 only the packed one, since the
+    The DP runs on the entries `pencil_poly` would scale for it (by the
+    Gram determinants).  Both layouts run up to n = 7; at n = 8..10 only the packed one, since the
     reference dict DP can take seconds (the two are compared at those
     sizes by `layout_tuples`).
     """
@@ -291,8 +292,7 @@ def test_closed_form_pencil_matches_the_dp(projs):
     assert sum(ranks) <= n
     pencil = pencil_poly(projs).pencil
     assert all(p._matrix is None for p in projs)  # no matrix was built
-    entry, scales = spectrum._scaled_entries(projs,
-                                             n >= spectrum.GRAM_SCALE_N)
+    entry, scales = spectrum._scaled_entries(projs)
     w = spectrum._slot_width(entry, ctx.d)
     layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
     if n <= 7:
@@ -311,12 +311,114 @@ def test_closed_form_pencil_matches_the_dp(projs):
         assert Automorphism.FLIP(coef).real_sign() > 0
 
 
+def _repeated_line_tuple(n, ctx):
+    """A line a twice, then a hyperplane B not containing it: ranks (1, 1, n-1).
+
+    U = [a | a | B] has rank n, but its first n columns hold a twice, so
+    the first block that `_kernel_vector` tries is singular.
+    """
+    a = [ctx.one] + [ctx.zero] * (n - 2) + [ctx.i]
+    b = [[ctx.zero] * j + [ctx.sqrt_d] + [ctx.one] * (n - j - 1)
+         for j in range(1, n)]
+    line = Projection(Matrix.from_columns([a], ctx))
+    return [line, line, Projection(Matrix.from_columns(b, ctx))]
+
+
+@st.composite
+def excess_one_tuples(draw):
+    """A tuple with sum of ranks n + 1, e = 1: the Cramer-vector closed form.
+
+    Either n + 1 random lines on K^n, n = 8..10 at d = 2 and 8 otherwise
+    (the DP oracle takes seconds at n = 10), the `rank-one-k` shape, one of
+    them at will a multiple of another; or ranks adding up to n + 1 over
+    k = 2..4 members on K^n, n = 1..7 (1..5 at the large d), zero and
+    identity members included, in one of three shapes: random members; a
+    member twice, so that P = Q pairs and zero pencils occur; or a member
+    whose first column lies in the span of the first member's, so that
+    U = [A_1 | ... | A_k] can have rank n while its first n columns are
+    dependent (the second pass of `_kernel_vector`).  The order of the
+    members is drawn too.
+    """
+    d = draw(st.sampled_from([2, 3, 999999937]))
+    ctx = FieldContext(d)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _pool(ctx)
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.integers(8, 10 if d == 2 else 8))
+        cols = [_independent(rng, pool, n, 1, ctx).col(0)
+                for _ in range(n + 1)]
+        if draw(st.booleans()):
+            cols[draw(st.integers(1, n))] = [x * ctx.elem(2) for x in cols[0]]
+        return [Projection(Matrix.from_columns([v], ctx)) for v in cols]
+    n = draw(st.integers(1, 7 if d < 10 else 5))
+    shape = draw(st.sampled_from(["random", "repeat", "overlap"]))
+    if shape == "repeat":
+        rank = draw(st.integers(1, (n + 1) // 2))
+        ranks = [rank, rank] + ([n + 1 - 2 * rank] if 2 * rank <= n else [])
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, n + 1), min_size=1,
+                                    max_size=3)))
+        ranks = [b - a for a, b in zip([0] + cuts, cuts + [n + 1])]
+        assume(max(ranks) <= n)
+    projs = []
+    for l, rank in enumerate(ranks):
+        if shape == "repeat" and l == 1:
+            projs.append(projs[0])
+        elif rank == 0:
+            projs.append(zero_projection(n, ctx))
+        elif rank == n:
+            projs.append(identity_projection(n, ctx))
+        elif shape == "overlap" and l and projs[0].rank:
+            shared = [x * ctx.elem(2) + y for x, y in
+                      zip(projs[0].basis.col(0), projs[0].basis.col(-1))]
+            projs.append(Projection(
+                _independent(rng, pool, n, rank, ctx, first=shared)))
+        else:
+            projs.append(Projection(_independent(rng, pool, n, rank, ctx)))
+    return draw(st.permutations(projs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(excess_one_tuples())
+@example(_repeated_line_tuple(3, K))
+@example(_repeated_line_tuple(6, FieldContext(999999937)))
+@example([rank_one([K.one, I_, K.zero])] * 2
+         + [rank_one([K.zero, K.one, R_])] * 2)  # U of rank 2, pencil 0
+def test_excess_one_pencil_matches_the_dp(projs):
+    """e = 1: the Cramer-vector closed form against the DP and Leibniz.
+
+    The packed DP runs on `_scaled_entries`, the reference dict DP up to
+    n = 7 and Leibniz up to n = 5.  No member's matrix is built, every
+    term is c^(r - e_l) for some l, and every coefficient is real and
+    positive in both real embeddings.
+    """
+    k, n, ctx = spectrum._check_tuple(projs)
+    ranks = [p.rank for p in projs]
+    assert sum(ranks) == n + 1
+    pencil = pencil_poly(projs).pencil
+    assert all(p._matrix is None for p in projs)  # no matrix was built
+    entry, scales = spectrum._scaled_entries(projs)
+    w = spectrum._slot_width(entry, ctx.d)
+    layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
+    if n <= 7:
+        layouts.append(reference_pencil.dict_dp(entry, k, ctx.d))
+    for coefs in layouts:
+        assert pencil == spectrum._rescaled(coefs, scales, n, ctx)
+    if n <= 5:
+        assert pencil == pencil_poly_leibniz(projs)
+    assert set(pencil.terms) <= {
+        tuple(r - (m == l) for m, r in enumerate(ranks)) for l in range(k)}
+    for coef in pencil.terms.values():
+        assert coef.is_real()
+        assert coef.real_sign() > 0
+        assert Automorphism.FLIP(coef).real_sign() > 0
+
+
 def test_dependent_basis_raises_whatever_the_excess():
     """A basis with dependent columns raises before its rank is trusted.
 
-    n = 4 and 7 sit on either side of GRAM_SCALE_N, so at e = 1 the check
-    is made by reading the matrix for the D_l and for the Gram scale; at
-    e <= 0 `_gram_determinants` makes it.
+    At e <= 1, at both n, `_gram_determinants` makes the check for the
+    closed form; at e = 2 reading the matrix makes it for the DP.
     """
     for n in (4, 7):
         pad = [K.zero] * (n - 4)
@@ -325,9 +427,9 @@ def test_dependent_basis_raises_whatever_the_excess():
         bad = Projection(Matrix.from_columns(
             [v, w, [x + y for x, y in zip(v, w)]], K))  # "rank 3", a plane
         line = rank_one([K.one] + [K.zero] * (n - 2) + [K.one])
-        # e = 3 - n, 0 and 1; each call twice, as a first call that
+        # e = 3 - n, 0, 1 and 2; each call twice, as a first call that
         # raised must leave nothing behind that lets the second one pass
-        for lines in (0, n - 3, n - 2):
+        for lines in (0, n - 3, n - 2, n - 1):
             projs = [bad] + [line] * lines
             for _ in range(2):
                 with pytest.raises(ValueError, match="columns are dependent"):
@@ -338,7 +440,7 @@ def test_dependent_basis_raises_whatever_the_excess():
 
 @st.composite
 def gram_scale_tuples(draw):
-    """A tuple on K^n, n = 6..8, with rank excess e >= 1: the Gram-scaled DP.
+    """A tuple on K^n, n = 6..8, with rank excess e >= 1.
 
     k = 2 or 3 members of rank 0..n, the last one drawn so that the ranks
     add up to more than n where it can be; at k = 3 the second member is at
@@ -371,16 +473,17 @@ def gram_scale_tuples(draw):
 @settings(max_examples=40, deadline=None)
 @given(gram_scale_tuples())
 def test_gram_scaled_pencil_matches_the_reference_dp(drawn):
-    """n >= GRAM_SCALE_N, e >= 1: the pencil against the rescaled dict DP.
+    """e >= 1: the pencil, closed form or DP, against the rescaled dict DP.
 
-    The reference runs on the D_l scale, so the two share only the
-    rescaling formula.  A common integer factor of a basis column leaves
-    its Gram determinant unchanged, since the columns are made primitive.
+    The reference runs on the lcm scale (`lcm_entries`), so the two share
+    only the rescaling formula.  A common integer factor of a basis column
+    leaves its Gram determinant unchanged, since the columns are made
+    primitive.
     """
     factor, projs = drawn  # factor: the integer factor, or None
     k, n, ctx = spectrum._check_tuple(projs)
-    assert n >= spectrum.GRAM_SCALE_N and sum(p.rank for p in projs) > n
-    entry, dens = spectrum._scaled_entries(projs)
+    assert sum(p.rank for p in projs) > n
+    entry, dens = reference_pencil.lcm_entries(projs)
     expected = spectrum._rescaled(reference_pencil.dict_dp(entry, k, ctx.d),
                                   dens, n, ctx)
     assert pencil_poly(projs).pencil == expected
@@ -396,12 +499,11 @@ def test_gram_scaled_pencil_matches_the_reference_dp(drawn):
 def shared_member_calls(draw):
     """One pool of Projection objects, and the tuples of a run of pencils.
 
-    n = 4..7 sits on both sides of GRAM_SCALE_N, d is 2 or 999999937.  The
-    pool holds 3 or 4 members of rank 0..n.  Each call is a tuple of 1..4
-    pool indices, repeats allowed, in any order, so the calls revisit the
-    members in sub-tuples, permuted tuples and whole tuples, at e <= 0
-    (the closed form) and e >= 1 (the DP).  The whole pool comes first and
-    again, reversed, last.
+    n = 4..7, d is 2 or 999999937.  The pool holds 3 or 4 members of rank
+    0..n.  Each call is a tuple of 1..4 pool indices, repeats allowed, in
+    any order, so the calls revisit the members in sub-tuples, permuted
+    tuples and whole tuples, at e <= 1 (the closed form) and e >= 2 (the
+    DP).  The whole pool comes first and again, reversed, last.
     """
     d = draw(st.sampled_from([2, 999999937]))
     ctx = FieldContext(d)
@@ -425,10 +527,9 @@ def test_revisited_members_give_the_pencils_of_fresh_copies(drawn):
     """Pencils on shared members equal those on fresh Projections.
 
     A member keeps its matrix, and with it g_l and g_l P_l (`Matrix.scaled`),
-    from the first pencil that builds it, so later pencils, in any order
-    and at either scale of the helpers, read what an earlier call left.
-    The g_l the DP reads from the matrix equal those the closed form
-    eliminates for itself.
+    from the first pencil that builds it, so later pencils, in any order,
+    read what an earlier call left.  The g_l the DP reads from the matrix
+    equal those the closed form eliminates for itself.
     """
     members, calls = drawn
     d = members[0].ctx.d
@@ -441,10 +542,9 @@ def test_revisited_members_give_the_pencils_of_fresh_copies(drawn):
         assert pencil_poly(projs).pencil == pencil_poly(fresh()).pencil
         grams = spectrum._gram_determinants(projs, d)[1]
         assert grams == spectrum._gram_determinants(fresh(), d)[1]
-        assert spectrum._scaled_entries(projs, True)[1] == grams
-        for gram in (False, True):
-            assert spectrum._scaled_entries(projs, gram) == \
-                spectrum._scaled_entries(fresh(), gram)
+        assert spectrum._scaled_entries(projs)[1] == grams
+        assert spectrum._scaled_entries(projs) == \
+            spectrum._scaled_entries(fresh())
 
 
 @st.composite

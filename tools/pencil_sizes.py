@@ -1,17 +1,23 @@
-"""Time the pencil, its subset DP under two scales and its squarefree part.
+"""Time the pencil, its subset DP and its squarefree part.
 
     python3 tools/pencil_sizes.py [CASE ...]
 
 With case names, only those cases run, in the order of CASES.  Run from the
-root of a jspec source tree; the program is imported from its
-``src`` directory and the reference from ``tests``.  Each case is built as
-the benchmark's `pencil` workload builds its triples
-(`verify.random_projection` with a fixed seed), and each way is timed
+root of a jspec source tree; the program is imported from its ``src``
+directory, the reference from ``tests`` and the reference loop from
+``benchmarks``.  Each case is built as the benchmark's `pencil` workload
+builds its triples (`verify.random_projection` with a fixed seed), and
+each way is timed
 REPEAT times, the ways taking turns.  One timing runs a way over the
 case's tuples as many times as fill MIN_TIMING_S (at least once, counted
 after one untimed warm-up pass; a way timed only once gets one pass and
 no warm-up), and the row gives the seconds per pass, so that a
-millisecond pencil is not read off a single call:
+millisecond pencil is not read off a single call.  The host's speed drifts
+by up to about 2x over minutes, so each timing is also bracketed by runs
+of the fixed reference loop of `benchmarks/run.py` and scaled, as that
+benchmark scales its items, by REFERENCE_S over the mean of the loop's two
+times: the ``scaled_*`` figures read as if measured at one fixed speed,
+so rows taken minutes apart, or on two trees, can be compared.  The ways:
 
 - ``reference``: the `MultiPoly` subset DP of `tests/reference_pencil.py`,
   which `spectrum.pencil_poly` ran before its DP became fraction-free;
@@ -23,32 +29,27 @@ millisecond pencil is not read off a single call:
   (`exactla.projection_onto`) again, as the suites do for the
   projections they draw.
 
-Both pencil ways take the closed form when the ranks add up to at most n,
-and else scale each P_l by its Gram determinant g_l from
-n = `spectrum.GRAM_SCALE_N` on and by D_l below it.
+Both pencil ways take the closed form when the ranks add up to at most
+n + 1, and else scale each P_l by its Gram determinant g_l for the DP.
 
 One common denominator D for every P_l was timed as a third way and
 rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
 on the largest cases, so those (``repeat`` below REPEAT) skip it, and time
 only ``sf``, in one timing of one pass.
 
-The subset DP alone is then timed on entries under both scales of
-`spectrum._scaled_entries`, taking turns:
+The subset DP alone is then timed on the entries g_l P_l of
+`spectrum._scaled_entries`, read from P_l's matrix (`Matrix.scaled`), in
+two layouts taking turns:
 
-- ``packed_lcm``: `spectrum._packed_dp` on each s_l P_l with s_l = D_l,
-  the lcm of P_l's entry denominators;
-- ``packed_gram``: `spectrum._packed_dp` with s_l = g_l, the Gram
-  determinant of P_l's primitive integral basis, read with g_l P_l from
-  P_l's matrix (`Matrix.scaled`);
-- ``dict``: `dict_dp` of `tests/reference_pencil.py` on the D_l entries,
-  each state a dict of monomials; `spectrum` ran it as its second layout
-  until the Gram scale made the packed layout the only one.
+- ``packed``: `spectrum._packed_dp`;
+- ``dict``: `dict_dp` of `tests/reference_pencil.py`, each state a dict
+  of monomials; `spectrum` ran it as its second layout until the Gram
+  scale made the packed layout the only one.
 
-Each row gives the slot widths ``w_lcm`` and ``w_gram`` of every tuple
-and the path that `pencil_poly` takes for it: ``closed form`` when the
-ranks add up to at most n, else ``packed (gram)`` from
-n = `spectrum.GRAM_SCALE_N` on and ``packed (lcm)`` below it.  On a
-closed-form tuple the layouts time the DP that the closed form replaces.
+Each row gives the slot width ``w`` of every tuple and the path that
+`pencil_poly` takes for it: ``closed form`` when the ranks add up to at
+most n + 1, else ``packed``.  On a closed-form tuple the layouts time the
+DP that the closed form replaces.
 
 The squarefree part of each pencil is then timed the same way, two ways
 taking turns:
@@ -65,13 +66,13 @@ lines on K^9 (the `rank-one-k` shapes), n = 12 at ranks (9, 9, 9), and two
 at d = 2 whose pencils have a repeated factor, so that the certificate
 fails and ``sf`` runs the GCD loop (``n6_repeated``, ranks (5, 5, 5), and
 ``n7_repeated``, ranks (6, 6, 6)).  Each case prints one JSON line with
-the median and minimum wall seconds per pass of each way and its passes
-per timing, the number of pencil terms, how many pencils the certificate
+the median and minimum seconds per pass of each way, raw and scaled, and
+its passes per timing, the number of pencil terms, how many pencils the certificate
 proves squarefree, the total degree of the pencils and of their
 squarefree parts, and digests of the printed pencils and squarefree
 parts.  The ways must agree, the packed and dict layouts must agree on
-the same entries, and the pencil rescaled from the packed layout under
-either scale must equal `pencil_poly`'s.
+the same entries, and the pencil rescaled from the packed layout must
+equal `pencil_poly`'s.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ from math import ceil
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
+                os.path.join(ROOT, "benchmarks")]
 
 from jspec import polyalg, spectrum  # noqa: E402
 from jspec.lattice import Projection  # noqa: E402
@@ -95,6 +97,7 @@ from jspec.scalar import FieldContext  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
 from reference_pencil import dict_dp  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
+from run import REFERENCE_S, reference_loop  # noqa: E402
 
 REPEAT = 5
 MIN_TIMING_S = 0.2  # a timing repeats its pass until it lasts this long
@@ -123,14 +126,12 @@ WAYS = {
         [Projection(p.basis) for p in projs]).pencil,
 }
 
-# Each input holds one tuple's entries under each scale ("lcm", "gram"),
-# their slot widths ("w_lcm", "w_gram"), ranks and d.
+# Each input holds one tuple's entries, their slot width w, the g_l
+# ("scales"), ranks and d.
 LAYOUTS = {
-    "packed_lcm": lambda x: spectrum._packed_dp(x["lcm"], x["ranks"], x["d"],
-                                                x["w_lcm"]),
-    "packed_gram": lambda x: spectrum._packed_dp(x["gram"], x["ranks"],
-                                                 x["d"], x["w_gram"]),
-    "dict": lambda x: dict_dp(x["lcm"], len(x["ranks"]), x["d"]),
+    "packed": lambda x: spectrum._packed_dp(x["entry"], x["ranks"], x["d"],
+                                            x["w"]),
+    "dict": lambda x: dict_dp(x["entry"], len(x["ranks"]), x["d"]),
 }
 
 SF_WAYS = {
@@ -144,7 +145,7 @@ def timed(ways: dict, inputs: list, repeat: int) -> tuple[dict, dict]:
 
     With more than one timing, the untimed warm-up pass of each way sets
     its number of passes per timing; one timing is one pass.  The times
-    are per pass.
+    are per pass, in wall seconds and scaled to the reference speed.
     """
     results, passes = {}, {way: 1 for way in ways}
     for way, fn in ways.items():
@@ -153,16 +154,25 @@ def timed(ways: dict, inputs: list, repeat: int) -> tuple[dict, dict]:
             results[way] = [fn(x) for x in inputs]
             passes[way] = ceil(MIN_TIMING_S / (perf_counter() - start))
     times = {way: [] for way in ways}
+    scaled = {way: [] for way in ways}
+    before = reference_loop()
     for _ in range(repeat):
         for way, fn in ways.items():
             start = perf_counter()
             for _ in range(passes[way]):
                 results[way] = [fn(x) for x in inputs]
-            times[way].append((perf_counter() - start) / passes[way])
-    return results, {way: {"median_s": round(statistics.median(seconds), 6),
-                           "min_s": round(min(seconds), 6),
+            elapsed = (perf_counter() - start) / passes[way]
+            after = reference_loop()
+            times[way].append(elapsed)
+            scaled[way].append(elapsed * 2 * REFERENCE_S / (before + after))
+            before = after
+    return results, {way: {"median_s": round(statistics.median(times[way]), 6),
+                           "min_s": round(min(times[way]), 6),
+                           "scaled_median_s": round(
+                               statistics.median(scaled[way]), 6),
+                           "scaled_min_s": round(min(scaled[way]), 6),
                            "passes": passes[way]}
-                     for way, seconds in times.items()}
+                     for way in ways}
 
 
 def digest(polys: list) -> str:
@@ -192,30 +202,22 @@ def main(names: list[str]) -> int:
             raise SystemExit(f"{name}: the pencils differ")
         dps = []
         for projs in tuples:
-            x = {"ranks": [p.rank for p in projs], "d": d}
-            for scale, gram in (("lcm", False), ("gram", True)):
-                x[scale], x["s_" + scale] = spectrum._scaled_entries(projs,
-                                                                     gram)
-                x["w_" + scale] = spectrum._slot_width(x[scale], d)
-            dps.append(x)
-        row["w_lcm"] = [x["w_lcm"] for x in dps]
-        row["w_gram"] = [x["w_gram"] for x in dps]
-        row["path"] = [
-            "closed form" if sum(x["ranks"]) <= len(x["lcm"])
-            else "packed (gram)" if len(x["lcm"]) >= spectrum.GRAM_SCALE_N
-            else "packed (lcm)" for x in dps]
+            entry, scales = spectrum._scaled_entries(projs)
+            dps.append({"ranks": [p.rank for p in projs], "d": d,
+                        "entry": entry, "scales": scales,
+                        "w": spectrum._slot_width(entry, d)})
+        row["w"] = [x["w"] for x in dps]
+        row["path"] = ["closed form" if sum(x["ranks"]) <= len(x["entry"]) + 1
+                       else "packed" for x in dps]
         layouts, times = timed(LAYOUTS, dps, repeat)
         row.update(times)
-        if layouts["packed_lcm"] != layouts["dict"]:
+        if layouts["packed"] != layouts["dict"]:
             raise SystemExit(f"{name}: the packed and dict layouts differ")
         ctx = FieldContext(d)
-        for scale in ("lcm", "gram"):
-            if results["per_projection"] != [
-                    spectrum._rescaled(coefs, x["s_" + scale], len(x["lcm"]),
-                                       ctx)
-                    for coefs, x in zip(layouts["packed_" + scale], dps)]:
-                raise SystemExit(f"{name}: pencil_poly and packed_{scale} "
-                                 "differ")
+        if results["per_projection"] != [
+                spectrum._rescaled(coefs, x["scales"], len(x["entry"]), ctx)
+                for coefs, x in zip(layouts["packed"], dps)]:
+            raise SystemExit(f"{name}: pencil_poly and packed differ")
         pencils = [p for p in results["per_projection"] if p]
         row["terms"] = sum(len(p.terms) for p in results["per_projection"])
         row["digest"] = digest(results["per_projection"])
