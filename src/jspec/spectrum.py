@@ -31,6 +31,7 @@ from jspec.polyalg import (
 from jspec.scalar import (
     FieldContext,
     FieldElem,
+    _canonical,
     _dot4,
     _mul4,
     _real_inverse,
@@ -307,6 +308,9 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
     y_l / N_l (`_real_inverse`) and N the lcm of the N_l, that is
     q_alpha * prod_l (y_l N / N_l)^(alpha_l) / N^n, as |alpha| = n: the
     products stay in Z[i, sqrt d], and N^n is the one denominator.
+    `_packed_dp` returns no zero q_alpha and K has no zero divisors, so the
+    integral coefficients are built without the checks of `ctx.elem` and
+    `MultiPoly.__init__`.
     """
     d = ctx.d
     inverses = [_real_inverse(s, d) for s in scales]
@@ -322,8 +326,9 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
         for pw, alpha in zip(powers, expts):
             if alpha:
                 v = _mul4(v, pw[alpha], d)
-        terms[expts] = ctx.elem(*v)
-    return MultiPoly(len(scales), terms, ctx) * ctx.elem(Fraction(1, den ** n))
+        terms[expts] = _canonical(*v, 1, ctx)
+    return MultiPoly._of(len(scales), terms, ctx) * ctx.elem(
+        Fraction(1, den ** n))
 
 
 Entries = list[list[list[tuple[int, int, int, int, int]]]]
@@ -434,31 +439,63 @@ def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
     once, as signed w-bit digits; `_slot_width` proves they fit, and a
     remainder past the last digit raises instead of returning a wrong
     pencil.
+
+    Each step multiplies a state u + v i by a cell entry x + y i, with u,
+    v, x, y in Z[sqrt d], by Gauss's three-product formula (Knuth, TAOCP
+    vol. 2, 4.6.4): with k1 = x (u + v), k2 = u (y - x) and
+    k3 = v (x + y),
+
+        (u + v i)(x + y i) = (k1 - k3) + (k1 + k2) i,
+
+    since k1 - k3 = ux - vy and k1 + k2 = uy + vx.  A product in Z[sqrt d]
+    takes two multiplications per component once d times the sqrt d part
+    of its constant factor is known, so each entry costs 12 big-int
+    products instead of the 18 of `FieldElem.__mul__`'s formula, and none
+    by d: the cells hold x, y - x and x + y with those d multiples, built
+    once per pencil, and u + v is formed once per state.  This is the same
+    ring identity, evaluated on the packed ints, so every state is the
+    same integer as with the direct formula, and the slot bound and the
+    decode hold unchanged.  The sign of a row r is the parity of the rows
+    of mask above r, counted while the rows are scanned from high to low.
     """
     n, k = len(entry), len(ranks)
     radix, digits = _radices(ranks)
     last = radix.index(0)
     packed = [l for l in range(k) if l != last]
-    cells = [[[(w * radix[l], a, b, c, e) for l, a, b, c, e in entry[r][j]]
-              for j in range(n)] for r in range(n)]
+    # cols[j] lists (bit, cell) for the rows r of column j from high to low.
+    # A cell entry x + y i, x = a + b sqrt d, y = c + e sqrt d, is kept as
+    # its shift, then x, y - x and x + y, each as (real, sqrt d, d * sqrt d)
+    # parts.
+    cols = [[(1 << r, [(w * radix[l], a, b, d * b, c - a, e - b, d * (e - b),
+                        a + c, b + e, d * (b + e))
+                       for l, a, b, c, e in entry[r][j]])
+             for r in reversed(range(n))] for j in range(n)]
     states: dict[int, tuple[int, int, int, int]] = {0: (1, 0, 0, 0)}
-    for j in range(n):
+    for col in cols:
         nxt: dict[int, tuple[int, int, int, int]] = {}
         for mask, (a1, b1, c1, e1) in states.items():
-            for r in range(n):
-                bit = 1 << r
-                cell = cells[r][j]
-                if mask & bit or not cell:
+            # the state is u + v i, u = a1 + b1 sqrt d, v = c1 + e1 sqrt d
+            p1, q1 = a1 + c1, b1 + e1  # u + v
+            odd = False  # parity of the rows of mask above r
+            for bit, cell in col:
+                if mask & bit:
+                    odd = not odd
+                    continue
+                if not cell:
                     continue
                 a = b = c = e = 0
-                for shift, a2, b2, c2, e2 in cell:
-                    # FieldElem.__mul__'s product, without the reduction
-                    a += (a1 * a2 - c1 * c2 + d * (b1 * b2 - e1 * e2)) << shift
-                    b += (a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2) << shift
-                    c += (a1 * c2 + c1 * a2 + d * (b1 * e2 + e1 * b2)) << shift
-                    e += (a1 * e2 + b1 * c2 + c1 * b2 + e1 * a2) << shift
+                for shift, xa, xb, xdb, za, zb, zdb, sa, sb, sdb in cell:
+                    # k1 = x (u + v), k2 = u (y - x), k3 = v (x + y)
+                    k1a = p1 * xa + q1 * xdb
+                    k1b = p1 * xb + q1 * xa
+                    k3a = c1 * sa + e1 * sdb
+                    k3b = c1 * sb + e1 * sa
+                    a += (k1a - k3a) << shift
+                    b += (k1b - k3b) << shift
+                    c += (k1a + a1 * za + b1 * zdb) << shift
+                    e += (k1b + a1 * zb + b1 * za) << shift
                 cur = nxt.get(mask | bit, (0, 0, 0, 0))
-                if (mask >> (r + 1)).bit_count() & 1:
+                if odd:
                     nxt[mask | bit] = (cur[0] - a, cur[1] - b,
                                        cur[2] - c, cur[3] - e)
                 else:

@@ -17,7 +17,7 @@ from jspec.lattice import (
     zero_projection,
 )
 from jspec.polyalg import MultiPoly, canonicalize
-from jspec.scalar import Automorphism, FieldContext
+from jspec.scalar import Automorphism, FieldContext, _dot4
 from jspec.spectrum import (
     JointSpectrum,
     PairFacts,
@@ -219,6 +219,59 @@ def test_packed_decode_raises_past_its_bound():
     assert spectrum._packed_dp(entry, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
     with pytest.raises(RuntimeError, match="proven bound"):
         spectrum._packed_dp(entry, [1, 1], 2, 2)
+
+
+# Column kinds of X_l: every component, or only the real, the i or the
+# sqrt d one.
+_COLUMN_KINDS = {"mixed": (0, 1, 2, 3), "real": (0,), "imaginary": (2,),
+                 "sqrt_d": (1,)}
+
+
+@st.composite
+def gram_form_entries(draw):
+    """Entries of M_l = X_l X_l* for integral n x r_l matrices X_l.
+
+    X_l is over Z[i, sqrt d] with components up to 2^40, past CPython's
+    30-bit digit.  M_l is Hermitian of rank at most r_l, which is all that
+    `_packed_dp`'s box needs, so r_l is passed as the rank.
+    """
+    d = draw(st.sampled_from([2, 3, 999999937]))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    big = st.integers(-2**40, 2**40)
+    ranks, entry = [], [[[] for _ in range(n)] for _ in range(n)]
+    for l in range(k):
+        rank = draw(st.integers(1, n))
+        cols = []
+        for _ in range(rank):
+            kind = _COLUMN_KINDS[draw(st.sampled_from(sorted(_COLUMN_KINDS)))]
+            cols.append([tuple(draw(big) if part in kind else 0
+                               for part in range(4)) for _ in range(n)])
+        rows = list(zip(*cols))
+        for r in range(n):
+            for j in range(n):
+                conj = [(a, b, -c_, -e) for a, b, c_, e in rows[j]]
+                x = _dot4(rows[r], conj, d)  # (X_l X_l*)_{rj}
+                if any(x):
+                    entry[r][j].append((l, *x))
+        ranks.append(rank)
+    return entry, ranks, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_form_entries())
+def test_packed_dp_matches_the_dict_dp_on_gram_forms(drawn):
+    """`_packed_dp` against the reference dict DP on synthetic Gram forms.
+
+    Wide components and columns with one kind of component reach every
+    cross term of the three-product step: u and v, x and y each zero or
+    not, and sqrt d parts beside the real ones.
+    """
+    entry, ranks, d = drawn
+    w = spectrum._slot_width(entry, d)
+    packed = spectrum._packed_dp(entry, ranks, d, w)
+    assert packed == reference_pencil.dict_dp(entry, len(ranks), d)
+    assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
 
 
 def _independent(rng, pool, n, rank, ctx, first=None):
