@@ -10,12 +10,12 @@ pivot row is nonzero, and forms each update x - f*y with one fused
 `scalar._sub_mul` (one gcd reduction instead of two).  `_bareiss` is the
 one fraction-free elimination, on the integer form of `jspec.scalar`: it
 gives `Matrix.det` on rows scaled into Z[i, sqrt(d)], the Gram
-determinants and, as Gauss-Jordan, the Cramer kernel vector for the
-closed-form pencils of `jspec.spectrum`, and, as Gauss-Jordan on the
-integral Gram matrix, the projection A (A*A)^{-1} A* onto a column space,
-with one division per entry at the end.  The projection matrix keeps the
-integral form it was divided out of (`Matrix.scaled`), which the pencil DP
-reads.
+determinants, as Gauss-Jordan with a column step the last pivot and kernel
+vector of the closed-form pencils of `jspec.spectrum`, and, as
+Gauss-Jordan on the integral Gram matrix, the projection A (A*A)^{-1} A*
+onto a column space, with one division per entry at the end.  The
+projection matrix keeps the integral form it was divided out of
+(`Matrix.scaled`), which the pencil DP reads.
 """
 
 from __future__ import annotations
@@ -420,34 +420,51 @@ def _gram_elimination(cols: Sequence[Sequence[tuple]], d: int,
     `cols` are the columns of a as 4-int tuples (`_integral`).  A zero
     leading minor of G means its first columns are dependent, so `_bareiss`
     never swaps rows here.  With `adjoint` it runs on the rows [G | a*],
-    whose last columns end as adj(G) a*.
+    whose last columns end as adj(G) a*.  They are a* [a | I], of a's
+    rank, so a singular G gives det 0 whatever `_bareiss` swaps in.
     """
     conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
     m = [[_dot4(conj[j], col, d) for col in cols]
          + (conj[j] if adjoint else []) for j in range(len(cols))]
-    return _bareiss(m, d, jordan=adjoint)
+    return _bareiss(m, d, jordan=adjoint)[:2]
 
 
 def _bareiss(rows: list[list[tuple]], d: int,
-             jordan: bool = False) -> tuple[tuple, list[list]]:
-    """det A for the leading square block A of rows in Z[i, sqrt d], and rows.
+             jordan: bool = False) -> tuple[tuple, list[list], list[int]]:
+    """det B for n pivot columns B of n rows in Z[i, sqrt d], rows, order.
 
     Fraction-free elimination (Bareiss 1968) in place: step k sets each x
     right of column k in another row to (p x - f y) / p', with p the pivot,
     f the row's column-k entry, y the pivot row's and p' the last pivot, an
-    exact division.  A zero pivot swaps in a lower row and flips the sign;
-    with none, det A = 0 at once; no rows give 1.  Without `jordan` only
+    exact division.  A zero pivot swaps in a lower row and flips the sign.
+    With none, column k trades places with the first column past the
+    leading n x n block A that has a nonzero entry in rows k..; `order`
+    lists where each column started, and B = order[:n].  With none there
+    either, column k and all columns past A lie in the span of the k
+    pivot columns, so only the n - k - 1 columns of A after k can add to
+    it, and the rank is below n: det = 0 at once, as with fewer columns
+    than rows.  So a square matrix stops at its first missing pivot, and
+    B = A when A is nonsingular.  No rows give 1.  Without `jordan` only
     rows below a pivot are updated; with it every row is, and the columns
-    R right of A end as p A^-1 R for the last pivot p (det A without swaps).
-    Each pivot stays on the diagonal, so a zero det leaves its first zero
-    diagonal entry at the first column k of A in the span of columns
-    0..k-1.
+    R right of B end as p B^-1 R for the last pivot p (det B without row
+    swaps).
     """
     n, sign, prev = len(rows), 1, (1, 0, 0, 0)
+    width = len(rows[0]) if rows else 0
+    order = list(range(width))
+    if width < n:
+        return (0, 0, 0, 0), rows, order
     for k in range(n):
         swap = next((r for r in range(k, n) if any(rows[r][k])), None)
         if swap is None:
-            return (0, 0, 0, 0), rows
+            found = next(((r, j) for j in range(n, width)
+                          for r in range(k, n) if any(rows[r][j])), None)
+            if found is None:
+                return (0, 0, 0, 0), rows, order
+            swap, j = found
+            for row in rows:
+                row[k], row[j] = row[j], row[k]
+            order[k], order[j] = order[j], order[k]
         if swap != k:
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
@@ -459,7 +476,7 @@ def _bareiss(rows: list[list[tuple]], d: int,
                     _divide(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
                     for x, y in zip(row[k + 1:], top[k + 1:])]
         prev = piv
-    return (prev if sign > 0 else tuple(-x for x in prev)), rows
+    return (prev if sign > 0 else tuple(-x for x in prev)), rows, order
 
 
 def gram_schmidt(a: Matrix) -> Matrix:

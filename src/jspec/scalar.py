@@ -24,13 +24,23 @@ Rat = Union[int, Fraction]
 Scalarish = Union["FieldElem", int, Fraction]
 
 
-class ParseError(ValueError):
-    """Syntax error in the scalar or polynomial grammar, at `pos` of `text`.
+QUOTE_LIMIT = 60  # longest text a ParseError quotes whole
 
-    Both grammars are written out on `_Parser`.
+
+class ParseError(ValueError):
+    """Syntax error in the scalar or polynomial grammar, at `pos` of a text.
+
+    Both grammars are written out on `_Parser`.  Of a text longer than
+    QUOTE_LIMIT characters, `text` keeps the QUOTE_LIMIT from 20 before
+    pos, "..." marking each cut end, so no message repeats it whole.
     """
 
     def __init__(self, message: str, text: str, pos: int):
+        if len(text) > QUOTE_LIMIT:
+            start = max(pos - 20, 0)
+            end = start + QUOTE_LIMIT
+            text = ("..." if start else "") + text[start:end] + (
+                "..." if end < len(text) else "")
         super().__init__(f"{message} at position {pos}: {text!r}")
         self.text = text
         self.pos = pos
@@ -552,7 +562,8 @@ class _Parser:
         try:
             value = int(match.group())
         except ValueError:  # longer than the interpreter's int-string limit
-            raise self.error("integer literal too long") from None
+            raise self.error(f"integer literal of {len(match.group())} "
+                             "digits too long") from None
         self.pos = match.end()
         return value
 

@@ -86,10 +86,10 @@ class JointSpectrum:
 def _check_tuple(projs: Sequence[Projection]) -> tuple[int, int, FieldContext]:
     if not projs:
         raise ValueError("empty projection tuple")
+    if not all(isinstance(p, Projection) for p in projs):
+        raise TypeError("tuple entries must be Projection values")
     n, ctx = projs[0].n, projs[0].ctx
     for p in projs:
-        if not isinstance(p, Projection):
-            raise TypeError("tuple entries must be Projection values")
         if p.n != n:
             raise ValueError(f"projections on K^{n} and K^{p.n} in one tuple")
         if p.ctx.d != ctx.d:
@@ -132,50 +132,50 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
 
         sum c_l P_l = U D U*.
 
-    For e < 0 the right side has rank at most n + e < n, so the pencil is
-    0.  For e = 0 all three factors are n x n, and det is multiplicative:
+    Cauchy-Binet over the n-subsets S and T of U's columns gives
 
-        det(sum c_l P_l) = det U * prod_l det(c_l G_l^(-1)) * det U*
-                         = det(U* U) / prod_l g_l * prod_l c_l^(r_l),
+        det(U D U*) = sum_(S, T) det U_S * det D_(S, T) * conj(det U_T),
 
-    since det(c_l G_l^(-1)) = c_l^(r_l) / g_l and det U* det U =
-    det(U* U).  So the pencil is the one monomial c^r, or 0 when U is
-    singular.
+    with U_S the columns S of U and D_(S, T) the minor of D on rows S and
+    columns T.  For e < 0 there is no n-subset, so the pencil is 0.  For
+    e = 0 the one subset is all of U, and det D = c^r / prod_l g_l, so
 
-    For e = 1, U has n + 1 columns; write U_i for U without column i.
-    Cauchy-Binet over the n-subsets of its columns gives
+        det(sum c_l P_l) = |det U|^2 / prod_l g_l * c^r.
 
-        det(U D U*) = sum_(i, j) det U_i * det D_(i, j) * conj(det U_j),
-
-    with D_(i, j) the minor of D without row i and column j.  D is block
-    diagonal.  If i and j lie in different blocks, the r_m rows of D_(i, j)
-    from j's block m meet only its r_m - 1 remaining columns, so the minor
-    is 0.  If both lie in block l, D_(i, j) is block diagonal again, and
-    Jacobi's complementary-minor identity, here the adjugate formula for
-    G_l = (G_l^(-1))^(-1), gives the minor of G_l^(-1) without row i and
-    column j as (-1)^(i+j) (G_l)_(j, i) / g_l.  So
+    For e = 1, S and T leave out one column each, i and j; write U_i for
+    U without column i.  D is block diagonal.  If i and j lie in different
+    blocks, the r_m rows of D_(i, j) from j's block m meet only its
+    r_m - 1 remaining columns, so the minor is 0.  If both lie in block l,
+    D_(i, j) is block diagonal again, and Jacobi's complementary-minor
+    identity, here the adjugate formula for G_l = (G_l^(-1))^(-1), gives
+    the minor of G_l^(-1) without row i and column j as
+    (-1)^(i+j) (G_l)_(j, i) / g_l.  So
 
         det D_(i, j) = (-1)^(i+j) (G_l)_(j, i) c^(r - e_l) / prod_m g_m,
 
     with e_l the l-th unit vector.  Put v_i = (-1)^i det U_i, the Cramer
-    vector, which spans the kernel of U when U has rank n, and
-    (G_l)_(j, i) = a_j* a_i for the columns a of A_l.  The double sum over
-    block l is then (sum_j v_j a_j)* (sum_i v_i a_i), so
+    vector, and (G_l)_(j, i) = a_j* a_i for the columns a of A_l.  The
+    double sum over block l is then (sum_j v_j a_j)* (sum_i v_i a_i), so
 
         det(sum c_l P_l) = sum_l |A_l v_l|^2 / prod_m g_m * c^(r - e_l),
 
-    where v_l is the block-l part of v.  Any kernel vector w = lambda v
-    with |lambda| = 1 gives the same terms.  One fraction-free Gauss-Jordan
-    pass (`exactla._bareiss`) on U's rows, with a column j whose deletion
-    leaves a nonsingular block moved last, gives such a w: its column-j
-    entry is minus the last pivot, +-det U_j, so lambda = +-1.  If no
-    block is nonsingular, rank U < n and the pencil is 0.
+    where v_l is the block-l part of v.
 
-    Each closed-form coefficient is a quotient of a Hermitian norm or Gram
-    determinant by the g_l: real, in Q(sqrt d), positive in both real
-    embeddings (the flip of sqrt d maps each norm to the norm of the
-    flipped vectors), and unchanged when a column of A_l is scaled by s
-    (numerator and g_l both gain |s|^2).  No projection matrix is built.
+    Both come from one fraction-free Gauss-Jordan pass (`exactla._bareiss`)
+    on U's rows.  It finds n pivots exactly when U has rank n; else
+    det U = 0 at e = 0 and every det U_i = 0 at e = 1, and the pencil is
+    0.  Otherwise let p be the last pivot, +-det U_B for the pivot columns
+    B.  At e = 0, B is all of U, and |det U|^2 = |p|^2.  At e = 1, let j
+    be the column outside B.  The pass leaves p U_B^(-1) u_j in it, and w,
+    with those entries at B and -p at j, has U w = 0.  U has rank n, so
+    its kernel is the line of v, and w_j = -p = +-det U_j = +-v_j makes
+    w = +-v: |A_l w_l|^2 = |A_l v_l|^2.
+
+    Each closed-form coefficient is a quotient of a Hermitian norm by the
+    g_l: real, in Q(sqrt d), positive in both real embeddings (the flip of
+    sqrt d maps each norm to the norm of the flipped vectors), and
+    unchanged when a column of A_l is scaled by s (numerator and g_l both
+    gain |s|^2).  No projection matrix is built.
 
     The DP is fraction-free.  It scales each P_l by its g_l, so that
     M_l = g_l P_l is integral.  With q = det(sum c_l M_l), substituting
@@ -235,69 +235,40 @@ def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
     """The pencil of a tuple with sum r_l <= n + 1, in `pencil_poly`'s form.
 
     The g_l come from `_gram_determinants`, which raises for a dependent
-    basis whatever e is.  At e = 0, det(U* U) comes from the same
-    elimination on all of their columns side by side; at e = 1 the norms
-    |A_l v_l|^2 come from `_kernel_vector`.  Each coefficient is its
-    numerator times the one inverse of prod_l g_l, written as one reduced
-    FieldElem.
+    basis whatever e is.  One `_bareiss` pass on U's rows gives the last
+    pivot p and, at e = 1 only, with the Jordan sweep, the kernel vector
+    w.  Each coefficient is its numerator |x|^2, x = p at e = 0 and
+    A_l w_l at e = 1, times the one inverse of prod_l g_l, written as one
+    reduced FieldElem.
     """
     k, d = len(projs), ctx.d
     cols, grams = _gram_determinants(projs, d)
     u = [col for a in cols for col in a]
-    nums = {}
+    det, rows, order = _bareiss([[col[i] for col in u] for i in range(n)], d,
+                                jordan=len(u) > n)
+    vecs = {}  # the exponents of each term, and its x
     if len(u) == n:
-        nums[tuple(ranks)] = _gram_elimination(u, d)[0]
-    elif len(u) == n + 1:
-        v = _kernel_vector(u, d)
-        if v is not None:
-            parts = iter(v)
-            for l, a in enumerate(cols):
-                block = [next(parts) for _ in a]
-                x = [_dot4(row, block, d) for row in zip(*a)]  # A_l v_l
-                expts = list(ranks)
-                expts[l] -= 1
-                nums[tuple(expts)] = _dot4(
-                    [(y[0], y[1], -y[2], -y[3]) for y in x], x, d)
+        vecs[tuple(ranks)] = [det]  # 0 when U is singular
+    elif any(det):  # e = 1 and rank U = n; at e < 0 det is 0
+        w = dict(zip(order, [row[n] for row in rows]
+                     + [tuple(-x for x in rows[n - 1][n - 1])]))
+        parts = (w[j] for j in range(n + 1))
+        for l, a in enumerate(cols):
+            block = [next(parts) for _ in a]
+            expts = list(ranks)
+            expts[l] -= 1
+            vecs[tuple(expts)] = [_dot4(row, block, d) for row in zip(*a)]
     den = (1, 0, 0, 0)
     for gram in grams:
         den = _mul4(den, gram, d)
     flip, norm = _real_inverse(den, d)
     terms = {}
-    for expts, num in nums.items():
+    for expts, x in vecs.items():
+        num = _dot4([(y[0], y[1], -y[2], -y[3]) for y in x], x, d)
         if any(num):
             a, b, _, _ = _mul4(num, flip, d)
             terms[expts] = _reduced(a, b, 0, 0, norm, ctx)
     return MultiPoly._of(k, terms, ctx)
-
-
-def _kernel_vector(u: list[list[tuple]], d: int) -> Optional[list[tuple]]:
-    """+-v for the Cramer vector v of U, or None when rank U < n.
-
-    `u` holds the n + 1 columns of the n x (n + 1) matrix U as 4-int
-    tuples, and v_i = (-1)^i det U_i (`pencil_poly`).  A fraction-free
-    Gauss-Jordan pass (`exactla._bareiss`) on U's rows with column j moved
-    last ends with p x in that column, where A = U_j, A x = u_j and p is
-    the last pivot, +-det A.  Put back in U's column order, w = (p x, -p)
-    has U w = p A x - p u_j = 0.  When A is nonsingular, U has rank n, so
-    its kernel is the line of v, and w_j = -p = +-v_j makes w = +-v.
-
-    The first pass moves the last column.  If its A is singular, the pass
-    stops at the first column k of U that depends on columns 0..k-1.  If U
-    has rank n, its kernel vector is then nonzero at k, so U_k is
-    nonsingular and the second pass moves column k last.  A second
-    singular block means rank U < n.
-    """
-    n = j = len(u) - 1
-    for _ in range(2):
-        order = u[:j] + u[j + 1:] + [u[j]]
-        det, rows = _bareiss([list(row) for row in zip(*order)], d,
-                             jordan=True)
-        if any(det):
-            w = [row[n] for row in rows]
-            w.insert(j, tuple(-x for x in rows[n - 1][n - 1]))
-            return w
-        j = next(m for m in range(n) if not any(rows[m][m]))
-    return None
 
 
 def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,

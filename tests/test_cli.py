@@ -338,6 +338,18 @@ def test_deeply_nested_json_is_an_input_error(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_literal_message_is_short(tmp_path, capsys):
+    """A literal past the int-string limit is named by its digit count and
+    position, and quoted only in part."""
+    literal = "7" * 5000
+    path = write(tmp_path / "big.json", {"projections": [
+        {"span": {"d": 2, "rows": [["1"], [f"1 + {literal}*i"]]}}]})
+    code, out, err = run(capsys, ["poly", "--tuple", path])
+    assert code == 2 and out == ""
+    assert "integer literal of 5000 digits too long at position 4" in err
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("command", ["poly", "classify", "member"])
 def test_oversized_tuple_fails_fast(command, tmp_path, capsys):
     # k = 11 rank-one lines in K^2, and a dense triple in K^13: the pencil

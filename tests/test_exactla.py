@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jspec.exactla import (
     Matrix,
+    _bareiss,
     _primitive_columns,
     automorphism_entrywise,
     gram_schmidt,
@@ -205,6 +206,83 @@ def test_det_with_row_swaps_and_non_real_pivots():
         assert m.det() == det_leibniz(m) != 0
         singular = Matrix([[0, 0, i], [0, 0, r], [1 + i, half, 1]], ctx)
         assert singular.det() == 0
+
+
+@st.composite
+def column_step_inputs(draw):
+    """d, n and the n + e columns of an n x (n + e) matrix U, e = 0..2.
+
+    U is integral over Z[i, sqrt d], n = 1..5, its columns 4-int tuples,
+    about half of the entries zero so that rows swap.  After n - 2 to
+    n + e random columns, every other one is zero, a repeat of an earlier
+    one or a combination of two earlier ones, and then the columns are
+    shuffled, so that such columns stand anywhere, in the leading block or
+    past it.
+    """
+    d = draw(st.sampled_from((2, 3, 999999937)))
+    n, e = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    part = st.integers(-3, 3)
+    entry = st.one_of(st.just((0, 0, 0, 0)), st.tuples(part, part, part, part))
+    cols = [[draw(entry) for _ in range(n)]
+            for _ in range(draw(st.integers(max(n - 2, 0), n + e)))]
+    while len(cols) < n + e:
+        kind = draw(st.sampled_from(("zero", "repeat", "combination")))
+        if kind == "zero" or not cols:
+            cols.append([(0, 0, 0, 0)] * n)
+        elif kind == "repeat":
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            (f, x), (g, y) = [(draw(entry), draw(st.sampled_from(cols)))
+                              for _ in range(2)]
+            cols.append([tuple(s + t for s, t in zip(_mul4(f, a, d),
+                                                     _mul4(g, b, d)))
+                         for a, b in zip(x, y)])
+    return d, n, draw(st.permutations(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_step_inputs())
+def test_bareiss_column_step(drawn):
+    """The column step of `_bareiss` against `Matrix.rank` and Leibniz.
+
+    It finds n pivots (a nonzero det) exactly when U has rank n, and only
+    ever swaps a column of the leading block A with one past it.  The det
+    is that of the pivot columns in their final order, with or without
+    the Jordan sweep; at e = 0 it is det U.  Each column m past the pivots
+    ends as p U_B^-1 u_m, which with -p at that column's own index gives
+    a kernel vector w of U.
+    """
+    d, n, cols = drawn
+    ctx = FIELDS[d]
+
+    def matrix(columns):
+        return Matrix([[ctx.elem(*col[i]) for col in columns]
+                       for i in range(n)], ctx, ncols=len(columns))
+
+    def int_rows():  # a fresh copy, as _bareiss works in place
+        return [[col[i] for col in cols] for i in range(n)]
+
+    u, width = matrix(cols), len(cols)
+    det, rows, order = _bareiss(int_rows(), d, jordan=True)
+    assert sorted(order) == list(range(width))
+    assert all(order[i] in (i, *range(n, width)) for i in range(n))
+    assert any(det) == (u.rank() == n)
+    forward = _bareiss(int_rows(), d)
+    assert forward[0] == det and forward[2] == order
+    if width == n:
+        assert ctx.elem(*det) == det_leibniz(u) == u.det()
+    if any(det):
+        assert ctx.elem(*det) == det_leibniz(matrix([cols[j] for j in
+                                                     order[:n]]))
+        p = rows[n - 1][n - 1]
+        for m in range(n, width):
+            w = [ctx.zero] * width
+            w[order[m]] = -ctx.elem(*p)
+            for i in range(n):
+                w[order[i]] = ctx.elem(*rows[i][m])
+            assert u.matvec(w) == (ctx.zero,) * n
+    if det_leibniz(matrix(cols[:n])):
+        assert order == list(range(width))
 
 
 INTS = st.integers(-50, 50)

@@ -86,6 +86,9 @@ def test_pencil_rejects_bad_tuples():
         pencil_poly([])
     with pytest.raises(ValueError):
         pencil_poly([zero_projection(2, K), zero_projection(3, K)])
+    for projs in ([1, 2], [zero_projection(2, K), "P"]):
+        with pytest.raises(TypeError, match="Projection values"):
+            pencil_poly(projs)
     # on K^0 the pencil would be the constant 1, whose zero set is empty
     for projs in ([zero_projection(0, K)], [identity_projection(0, K)] * 2):
         with pytest.raises(ValueError, match="K\\^0"):
@@ -368,7 +371,8 @@ def _repeated_line_tuple(n, ctx):
     """A line a twice, then a hyperplane B not containing it: ranks (1, 1, n-1).
 
     U = [a | a | B] has rank n, but its first n columns hold a twice, so
-    the first block that `_kernel_vector` tries is singular.
+    the leading n x n block of U is singular and `exactla._bareiss` swaps
+    U's last column in for the second a.
     """
     a = [ctx.one] + [ctx.zero] * (n - 2) + [ctx.i]
     b = [[ctx.zero] * j + [ctx.sqrt_d] + [ctx.one] * (n - j - 1)
@@ -389,7 +393,7 @@ def excess_one_tuples(draw):
     member twice, so that P = Q pairs and zero pencils occur; or a member
     whose first column lies in the span of the first member's, so that
     U = [A_1 | ... | A_k] can have rank n while its first n columns are
-    dependent (the second pass of `_kernel_vector`).  The order of the
+    dependent (the column step of `exactla._bareiss`).  The order of the
     members is drawn too.
     """
     d = draw(st.sampled_from([2, 3, 999999937]))
