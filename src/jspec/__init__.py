@@ -1,4 +1,9 @@
-"""Exact joint spectra of projection tuples over Q(i, sqrt(d))."""
+"""Exact joint spectra of projection tuples over Q(i, sqrt(d)).
+
+`__all__` is every public name imported below; the submodules are left out.
+"""
+
+import types as _types
 
 from jspec.exactla import (
     Matrix,
@@ -87,77 +92,6 @@ from jspec.verify import (
     find_spectrum_witness,
 )
 
-__all__ = [
-    "ALL_AUTOMORPHISMS",
-    "AntiUnitaryConjMap",
-    "Automorphism",
-    "FieldContext",
-    "FieldElem",
-    "InducedMap",
-    "JointSpectrum",
-    "MapForm",
-    "Matrix",
-    "MultiPoly",
-    "OrthogonalityError",
-    "PairFacts",
-    "ParseError",
-    "Projection",
-    "ProjectionMap",
-    "RankOneClass",
-    "TrialConfig",
-    "UnitaryConjMap",
-    "VerificationReport",
-    "Violation",
-    "Witness",
-    "apply_automorphism",
-    "apply_map",
-    "automorphism_entrywise",
-    "canonicalize",
-    "check_det_automorphism",
-    "check_extension_consistency",
-    "check_map_morphism",
-    "check_map_preservation",
-    "check_pair_equivalences",
-    "check_rank_join_preservation",
-    "check_rank_one_classification",
-    "check_rank_one_map_k_preservation",
-    "check_small_rank_one_fullness",
-    "check_two_projection_sum_identity",
-    "classify_map",
-    "classify_rank_one_tuple",
-    "divides",
-    "exact_quotient",
-    "extend_join",
-    "extend_sum",
-    "find_spectrum_witness",
-    "format_poly",
-    "format_scalar",
-    "gcd",
-    "gram_schmidt",
-    "hstack",
-    "identity_projection",
-    "make_induced",
-    "make_projection",
-    "make_unitary_conj",
-    "map_from_json",
-    "map_to_json",
-    "matrix_from_json",
-    "matrix_to_json",
-    "pair_facts",
-    "parse_poly",
-    "parse_scalar",
-    "pencil_poly",
-    "preserves_orthogonality",
-    "projection_from_json",
-    "projection_onto",
-    "projection_to_json",
-    "rank_one",
-    "rank_one_image",
-    "squarefree_part",
-    "tuple_from_json",
-    "tuple_to_json",
-    "vdot",
-    "zero_projection",
-    "zero_set_equal",
-    "zero_set_subset",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

@@ -14,8 +14,8 @@ determinants, as Gauss-Jordan with a column step the last pivot and kernel
 vector of the closed-form pencils of `jspec.spectrum`, and, as
 Gauss-Jordan on the integral Gram matrix, the projection A (A*A)^{-1} A*
 onto a column space, with one division per entry at the end.  The
-projection matrix keeps the integral form it was divided out of
-(`Matrix.scaled`), which the pencil DP reads.
+projection matrix keeps the rows of the integral form it was divided out
+of (`Matrix.scaled`), which the pencil DP reads as they are.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from jspec.scalar import (
     _dot4,
     _integral,
     _mul4,
+    _quote_int,
     _real_inverse,
     _reduced,
     _sub4,
@@ -65,11 +66,10 @@ def _find_ctx(entries: Iterable[object]) -> Optional[FieldContext]:
 class Matrix:
     """An immutable nrows x ncols matrix over K.
 
-    `scaled` is None, or an integral form (s, upper) of a Hermitian matrix
+    `scaled` is None, or an integral form (s, rows) of a Hermitian matrix
     M that its builder knew: s a real nonzero 4-int tuple in Z[sqrt d],
-    and upper the entries of s M on and above the diagonal, row by row, as
-    4-int tuples in Z[i, sqrt d]; those below are their conjugates.  Only
-    `projection_onto` sets it.
+    and rows the rows of s M, with its entries as 4-int tuples in
+    Z[i, sqrt d].  Only `projection_onto` sets it.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "ctx", "scaled")
@@ -370,31 +370,27 @@ def projection_onto(a: Matrix) -> Matrix:
     and puts a and G = a*a in Z[i, sqrt d].  `_gram_elimination` turns
     [G | a*] into [g I | adj(G) a*] with g = det G, so the Hermitian
     N = a adj(G) a* is g P, and each entry of P is that of N divided by g
-    once.  The matrix keeps g and N as its `scaled` form.  No columns: the
-    zero projection, with g = 1.
+    once.  The matrix keeps g and the rows of N as its `scaled` form.  No
+    columns give g = 1, the zero N and the zero projection.
     """
     n, r, ctx = a.nrows, a.ncols, a.ctx
-    if r == 0:
-        return Matrix._of([[ctx.zero] * n] * n, ctx, n,
-                          scaled=((1, 0, 0, 0),
-                                  [(0, 0, 0, 0)] * (n * (n + 1) // 2)))
     d = ctx.d
     cols = _primitive_columns(a)
     det, m = _gram_elimination(cols, d, adjoint=True)
     if not any(det):
         raise ValueError("columns are dependent")
     flip, norm = _real_inverse(det, d)
-    adj = list(zip(*(row[r:] for row in m)))  # columns of adj(G) a*
-    upper = []  # the entries of N on and above the diagonal, row by row
+    adj = [[row[r + l] for row in m] for l in range(n)]  # columns of adj(G) a*
+    rows = [[None] * n for _ in range(n)]  # N, as 4-int tuples
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         a_i = [col[i] for col in cols]
         for l in range(i, n):
-            x = _dot4(a_i, adj[l], d)
-            upper.append(x)
+            x = rows[i][l] = _dot4(a_i, adj[l], d)
+            rows[l][i] = (x[0], x[1], -x[2], -x[3])
             out[i][l] = _reduced(*_mul4(flip, x, d), norm, ctx)
             out[l][i] = out[i][l].conj()
-    return Matrix._of(out, ctx, n, scaled=(det, upper))
+    return Matrix._of(out, ctx, n, scaled=(det, tuple(map(tuple, rows))))
 
 
 def _primitive_columns(a: Matrix) -> list[list[tuple]]:
@@ -520,14 +516,15 @@ def matrix_from_json(obj: object, ctx: Optional[FieldContext] = None) -> Matrix:
     if "rows" not in obj:
         raise ValueError('matrix form needs a "rows" array')
     d = obj.get("d")
+    if d is not None and not isinstance(d, int):
+        raise ValueError('"d" must be an integer')
     if ctx is None:
         if d is None:
             raise ValueError('matrix form needs a "d" field')
-        if not isinstance(d, int):
-            raise ValueError('"d" must be an integer')
         ctx = FieldContext(d)
     elif d is not None and d != ctx.d:
-        raise ValueError(f'matrix is over d={d}, expected d={ctx.d}')
+        raise ValueError(
+            f'matrix is over d={_quote_int(d)}, expected d={ctx.d}')
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError('"rows" must be an array of arrays')

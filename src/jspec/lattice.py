@@ -35,13 +35,13 @@ class Projection:
     Nothing checks the basis.  The matrix is built on first use (`.matrix`
     and every method that reads it, such as == and hash) and cached, and a
     dependent basis raises ValueError there; rank, n and ctx come from the
-    basis, so they never build it.  The matrix carries the integral form
-    g P that `projection_onto` divides it out of (`Matrix.scaled`), so the
-    pencil DP of `jspec.spectrum` reads g and g P with it instead of
-    eliminating the Gram matrix of the basis a second time.  Both are
-    built in one call from the basis, which nothing changes, and a
-    dependent basis raises before either exists, so it raises on every
-    read.
+    basis, so they never build it.  The matrix carries g and the rows of
+    the integral g P that `projection_onto` divides it out of
+    (`Matrix.scaled`), and the pencil DP of `jspec.spectrum` runs on them
+    as they are instead of eliminating the Gram matrix of the basis a
+    second time.  Both are built in one call from the basis, which nothing
+    changes, and a dependent basis raises before either exists, so it
+    raises on every read.
     """
 
     __slots__ = ("basis", "_matrix")

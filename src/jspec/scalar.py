@@ -46,6 +46,14 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def _quote_int(x: int) -> str:
+    """x in decimal, or its digit count if that is past QUOTE_LIMIT chars."""
+    text = str(x)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"<an integer of {len(text.lstrip('-'))} digits>"
+
+
 # Largest accepted d: squarefreeness is checked by trial division up to
 # sqrt(d), about 32k steps at this bound.
 MAX_D = 10**9
@@ -71,9 +79,11 @@ class FieldContext:
 
     def __init__(self, d: int = 2):
         if d > MAX_D:
-            raise ValueError(f"d must be at most {MAX_D}, got {d}")
+            raise ValueError(
+                f"d must be at most {MAX_D}, got {_quote_int(d)}")
         if d < 2 or not _is_squarefree(d):
-            raise ValueError(f"d must be a squarefree integer >= 2, got {d}")
+            raise ValueError(
+                f"d must be a squarefree integer >= 2, got {_quote_int(d)}")
         self.d = d
 
     def __eq__(self, other: object) -> bool:

@@ -196,17 +196,19 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
 
     Where the g_l come from.  `exactla.projection_onto` builds P_l as
     (A_l adj(G_l) A_l*) / g_l from one elimination of G_l, and its matrix
-    keeps g_l and g_l P_l (`Matrix.scaled`).  The DP reads them from
-    `p.matrix` (`_scaled_entries`), so a member's Gram matrix is eliminated
-    once, when its matrix is built.  The closed form needs no matrix, so it
-    eliminates each G_l itself (`_gram_determinants`).
+    keeps g_l and the rows of g_l P_l (`Matrix.scaled`).  The DP reads
+    both from `p.matrix`, so a member's Gram matrix is eliminated once,
+    when its matrix is built.  Reading `p.matrix` raises for a dependent
+    basis, so on the DP path that check happens before `_packed_dp`
+    trusts any rank.  The closed form needs no matrix, so it eliminates
+    each G_l itself (`_gram_determinants`).
     """
     k, n, ctx = _check_tuple(projs)
     ranks = [p.rank for p in projs]
     if sum(ranks) <= n + 1:
         return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
-    entry, scales = _scaled_entries(projs)
-    coefs = _packed_dp(entry, ranks, ctx.d, _slot_width(entry, ctx.d))
+    scales, forms = zip(*(p.matrix.scaled for p in projs))
+    coefs = _packed_dp(forms, ranks, ctx.d, _slot_width(forms, ctx.d))
     return JointSpectrum(k, n, _rescaled(coefs, scales, n, ctx))
 
 
@@ -302,36 +304,7 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
         Fraction(1, den ** n))
 
 
-Entries = list[list[list[tuple[int, int, int, int, int]]]]
 Coefficients = dict[tuple[int, ...], tuple[int, int, int, int]]
-
-
-def _scaled_entries(projs: Sequence[Projection],
-                    ) -> tuple[Entries, list[tuple]]:
-    """The entries of every g_l P_l in Z[i, sqrt d], and the g_l.
-
-    g_l and the upper half of the Hermitian g_l P_l are read from the
-    integral form that P_l's matrix keeps (`Matrix.scaled`, from
-    `exactla.projection_onto`).  entry[r][j] lists (l, A, B, C, E) for each
-    l with (g_l P_l)_{rj} = A + B sqrt d + (C + E sqrt d) i nonzero.
-    Reading `p.matrix` raises for a dependent basis, so on the DP path
-    (e >= 2) that check happens here, before `_packed_dp` trusts any rank.
-    """
-    n = projs[0].n
-    entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
-    scales = []
-    for l, p in enumerate(projs):
-        s, upper = p.matrix.scaled
-        cells = iter(upper)
-        for r in range(n):
-            for j in range(r, n):
-                a, b, c, e = next(cells)
-                if a or b or c or e:
-                    entry[r][j].append((l, a, b, c, e))
-                    if j != r:  # g_l P_l is Hermitian
-                        entry[j][r].append((l, a, b, -c, -e))
-        scales.append(s)
-    return entry, scales
 
 
 def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:
@@ -352,11 +325,11 @@ def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:
     return radix, digits
 
 
-def _slot_width(entry: Entries, d: int) -> int:
+def _slot_width(forms: Sequence[Sequence[Sequence[tuple]]], d: int) -> int:
     """Bits w of a packed slot, so every coefficient fits in a signed slot.
 
-    `entry` holds matrices M_l over Z[i, sqrt d], such as the
-    M_l = g_l P_l of `_scaled_entries`.  With
+    `forms` holds the rows of matrices M_l over Z[i, sqrt d] with entries
+    as 4-int tuples, such as the M_l = g_l P_l of `Matrix.scaled`.  With
     s = isqrt(d) + 1 > sqrt d, N(x) = |A| + s|B| + |C| + s|E| bounds
     each of x's four components, N(x + y) <= N(x) + N(y), and
     N(xy) <= N(x) N(y): each of the 16 products in `FieldElem.__mul__`'s
@@ -369,27 +342,28 @@ def _slot_width(entry: Entries, d: int) -> int:
     w grows with the bits of the scaled entries, so the scale that keeps
     them short (the Gram scale of `pencil_poly`) keeps the slots narrow.
     """
-    n, s = len(entry), isqrt(d) + 1
+    n, s = len(forms[0]), isqrt(d) + 1
     bound = factorial(n)
     for j in range(n):
         top = 0
-        for row in entry:
+        for r in range(n):
             norm = 0
-            for _, a, b, c, e in row[j]:
+            for rows in forms:
+                a, b, c, e = rows[r][j]
                 norm += abs(a) + abs(c) + s * (abs(b) + abs(e))
             top = max(top, norm)
         bound *= top
     return bound.bit_length() + 2
 
 
-def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
-               w: int) -> Coefficients:
+def _packed_dp(forms: Sequence[Sequence[Sequence[tuple]]],
+               ranks: Sequence[int], d: int, w: int) -> Coefficients:
     """Coefficients of det(sum c_l M_l) as 4-int tuples, M_l = s_l P_l.
 
-    `entry` holds integral M_l for real s_l, such as `_scaled_entries`'
-    g_l P_l, ranks[l] is the rank of P_l and w the slot width
-    (`_slot_width`).  Returns {alpha: (A, B, C, E)} over the
-    nonzero coefficients of c^alpha.  The DP runs over columns: the state
+    `forms` holds the rows of integral M_l for real s_l, as in
+    `_slot_width`, such as the g_l P_l of `Matrix.scaled`; ranks[l] is
+    the rank of P_l and w the slot width (`_slot_width`).  Returns
+    {alpha: (A, B, C, E)} over the nonzero coefficients of c^alpha.  The DP runs over columns: the state
     after j columns maps each j-subset of rows to the signed sum of its
     partial products, so work stays at 2^n states instead of n! permutation
     terms.  Each state is packed as four ints of w-bit slots, one per
@@ -429,17 +403,18 @@ def _packed_dp(entry: Entries, ranks: Sequence[int], d: int,
     decode hold unchanged.  The sign of a row r is the parity of the rows
     of mask above r, counted while the rows are scanned from high to low.
     """
-    n, k = len(entry), len(ranks)
+    n, k = len(forms[0]), len(ranks)
     radix, digits = _radices(ranks)
     last = radix.index(0)
     packed = [l for l in range(k) if l != last]
-    # cols[j] lists (bit, cell) for the rows r of column j from high to low.
-    # A cell entry x + y i, x = a + b sqrt d, y = c + e sqrt d, is kept as
-    # its shift, then x, y - x and x + y, each as (real, sqrt d, d * sqrt d)
-    # parts.
+    # cols[j] lists (bit, cell) for the rows r of column j from high to low,
+    # and the cell one entry per nonzero (M_l)_{rj}.  An entry x + y i,
+    # x = a + b sqrt d, y = c + e sqrt d, is kept as its shift, then x,
+    # y - x and x + y, each as (real, sqrt d, d * sqrt d) parts.
     cols = [[(1 << r, [(w * radix[l], a, b, d * b, c - a, e - b, d * (e - b),
                         a + c, b + e, d * (b + e))
-                       for l, a, b, c, e in entry[r][j]])
+                       for l, rows in enumerate(forms)
+                       for a, b, c, e in [rows[r][j]] if a or b or c or e])
              for r in reversed(range(n))] for j in range(n)]
     states: dict[int, tuple[int, int, int, int]] = {0: (1, 0, 0, 0)}
     for col in cols:

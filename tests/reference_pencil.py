@@ -4,17 +4,20 @@ subset DP over dicts of integer monomials, and the Leibniz expansion.
 `pencil_poly` is the pencil determinant jspec computed before its DP moved
 to integer coefficients: `spectrum.pencil_poly` now scales each P_l by its
 Gram determinant g_l, which makes g_l P_l integral, runs the DP on
-Z[i, sqrt d], and rescales at the end.  `dict_dp` runs that DP on scaled
-entries (`spectrum._scaled_entries`, or `lcm_entries`) with each state a
-dict of monomials; it was `spectrum`'s second layout, picked by a cost
-model for wide slots, until the Gram-determinant scale made the packed
-layout the faster one on every timed case.  `lcm_entries` scales each P_l
-by the lcm of its entry denominators instead, so a DP on its entries
-shares nothing with `pencil_poly`'s but the rescaling formula.
-`pencil_poly_leibniz` expands the determinant over all n! permutations.
-All four are kept as oracles for the differential tests in
-`tests/test_spectrum.py`, `tests/test_acceptance.py` and
-`tools/pencil_sizes.py`, and are not used by the package itself.
+Z[i, sqrt d], and rescales at the end.  `dict_dp` runs that DP with each
+state a dict of monomials, on the same integral forms as `spectrum`'s
+packed DP: for each member the rows of M_l = s_l P_l, entries as 4-int
+tuples.  It was `spectrum`'s second layout, picked by a cost model for
+wide slots, until the Gram-determinant scale made the packed layout the
+faster one on every timed case.  `gram_forms` reads the forms
+`spectrum.pencil_poly` runs on, s_l = g_l, from each member's matrix
+(`Matrix.scaled`); `lcm_forms` scales each P_l by the lcm of its entry
+denominators instead, so a DP on its forms shares nothing with
+`pencil_poly`'s but the rescaling formula.  `pencil_poly_leibniz`
+expands the determinant over all n! permutations.  All of them are kept
+for the differential tests in `tests/test_spectrum.py`,
+`tests/test_acceptance.py` and `tools/pencil_sizes.py`, and are not used
+by the package itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 from jspec.lattice import Projection
 from jspec.polyalg import MultiPoly
 from jspec.scalar import _integral
-from jspec.spectrum import Coefficients, Entries, JointSpectrum, _check_tuple
+from jspec.spectrum import Coefficients, JointSpectrum, _check_tuple
 
 
 def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
@@ -89,15 +92,18 @@ def pencil_poly_leibniz(projs: Sequence[Projection]) -> MultiPoly:
     return total
 
 
-def dict_dp(entry: Entries, k: int, d: int) -> Coefficients:
+def dict_dp(forms: Sequence[Sequence[Sequence[tuple]]],
+            d: int) -> Coefficients:
     """The subset DP with each state a dict {monomial: (A, B, C, E)}.
 
-    A monomial c^alpha is one int key with alpha_l in bits width*l and up,
-    so multiplying by c_l adds 1 << width*l.
+    `forms` holds the rows of the M_l, as for `spectrum._packed_dp`, and k
+    is their number.  A monomial c^alpha is one int key with alpha_l in
+    bits width*l and up, so multiplying by c_l adds 1 << width*l.
     """
-    n = len(entry)
+    k, n = len(forms), len(forms[0])
     width = n.bit_length()  # exponents are at most n < 2**width
-    cells = [[[(1 << (width * l), a, b, c, e) for l, a, b, c, e in entry[r][j]]
+    cells = [[[(1 << (width * l), *rows[r][j])
+               for l, rows in enumerate(forms) if any(rows[r][j])]
               for j in range(n)] for r in range(n)]
     states: dict[int, dict[int, tuple[int, int, int, int]]] = {
         0: {0: (1, 0, 0, 0)}}
@@ -139,21 +145,27 @@ def dict_dp(entry: Entries, k: int, d: int) -> Coefficients:
             for key, v in states.get((1 << n) - 1, {}).items()}
 
 
-def lcm_entries(projs: Sequence[Projection]) -> tuple[Entries, list[tuple]]:
-    """`spectrum._scaled_entries` with s_l = D_l in place of g_l.
+def gram_forms(projs: Sequence[Projection]) -> tuple[list, list[tuple]]:
+    """The forms `spectrum.pencil_poly` runs its DP on, and the g_l.
+
+    The rows of each g_l P_l, and g_l, come from the integral form that
+    P_l's matrix keeps (`Matrix.scaled`).
+    """
+    scales, forms = zip(*(p.matrix.scaled for p in projs))
+    return list(forms), list(scales)
+
+
+def lcm_forms(projs: Sequence[Projection]) -> tuple[list, list[tuple]]:
+    """`gram_forms` with s_l = D_l in place of g_l.
 
     D_l is the lcm of the denominators of P_l's entries, read from its
-    matrix, so D_l P_l is integral.  Returns the entries in the layout
-    `_packed_dp` and `dict_dp` read, and the D_l as 4-int tuples for
+    matrix, so D_l P_l is integral.  Returns the rows of every D_l P_l,
+    which `_packed_dp` and `dict_dp` read, and the D_l as 4-int tuples for
     `spectrum._rescaled`.
     """
-    n = projs[0].n
-    entry: Entries = [[[] for _ in range(n)] for _ in range(n)]
-    scales = []
-    for l, p in enumerate(projs):
+    forms, scales = [], []
+    for p in projs:
         den, ints = _integral([x for row in p.matrix.rows for x in row])
-        for i, x in enumerate(ints):
-            if any(x):
-                entry[i // n][i % n].append((l, *x))
+        forms.append([ints[i:i + p.n] for i in range(0, len(ints), p.n)])
         scales.append((den, 0, 0, 0))
-    return entry, scales
+    return forms, scales

@@ -272,8 +272,23 @@ def test_huge_d_fails_fast(tmp_path, capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, ["poly", "--tuple", basis_tuple_file(tmp_path),
                                 "--d", "1000000000000000003"])
-    assert code == 2 and "at most" in err
+    assert code == 2 and "at most" in err and "got 1000000000000000003" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_long_d_is_named_by_its_digit_count(where, tmp_path, capsys):
+    """A 4000-digit d, a file's "d" or --d, is quoted as its digit count."""
+    d = "7" * 4000
+    if where == "file":
+        argv = ["poly", "--tuple", write(tmp_path / "d.json", {"projections": [
+            {"span": {"d": int(d), "rows": [["1"], ["0"]]}}]})]
+    else:
+        argv = ["poly", "--tuple", basis_tuple_file(tmp_path), "--d", d]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "an integer of 4000 digits" in err
+    assert len(err.encode()) < 200
 
 
 def test_huge_n_fails_fast(capsys):

@@ -398,19 +398,21 @@ def test_projection_rejects_dependent_columns():
 def test_projection_of_empty_span_is_zero():
     a = Matrix.from_columns([], K, nrows=3)
     assert projection_onto(a) == Matrix.zeros(3, 3, K)
-    assert projection_onto(a).scaled == ((1, 0, 0, 0), [(0, 0, 0, 0)] * 6)
+    assert projection_onto(a).scaled == ((1, 0, 0, 0),
+                                         ((((0, 0, 0, 0),) * 3,) * 3))
 
 
 def test_projection_keeps_its_gram_scaled_form():
-    """P.scaled is g and g P on and above the diagonal, row by row.
+    """P.scaled is g and the rows of g P.
 
     g = det(b* b) for the primitive columns b, and g P = b adj(b* b) b* is
-    integral; a common integer factor of a column changes neither g nor
-    g P, and only `projection_onto` sets the form.
+    integral and Hermitian; a common integer factor of a column changes
+    neither g nor g P, and only `projection_onto` sets the form.
     """
     half = Fraction(1, 2)
     assert projection_onto(Matrix([[half], [half * I_]], K)).scaled == \
-        ((2, 0, 0, 0), [(1, 0, 0, 0), (0, 0, -1, 0), (1, 0, 0, 0)])
+        ((2, 0, 0, 0), (((1, 0, 0, 0), (0, 0, -1, 0)),
+                        ((0, 0, 1, 0), (1, 0, 0, 0))))
     rng = random.Random(1008)
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -421,9 +423,8 @@ def test_projection_keeps_its_gram_scaled_form():
         b = Matrix.from_columns([[K.elem(*x) for x in col]
                                  for col in _primitive_columns(a)], K)
         assert K.elem(*g) == (b.conj_transpose() * b).det()
-        n = p.nrows
-        assert [K.elem(*x) for x in rows] == \
-            [K.elem(*g) * p[i, j] for i in range(n) for j in range(i, n)]
+        assert [[K.elem(*x) for x in row] for row in rows] == \
+            [[K.elem(*g) * x for x in row] for row in p.rows]
         tripled = Matrix.from_columns([[x * 3 for x in col]
                                        for col in a.columns()], K)
         assert projection_onto(tripled).scaled == p.scaled

@@ -198,18 +198,18 @@ def layout_tuples(draw):
 def test_packed_and_dict_layouts_agree(projs):
     """The packed DP against the reference dict DP, under two scales.
 
-    The Gram scale of `_scaled_entries` and the lcm scale of the reference
-    `lcm_entries`.  Small d keeps the slots narrow; d = 999999937 makes
-    them wide.  Zero and identity members, zero pencils and dependent lines
-    all occur.
+    The Gram scale of `Matrix.scaled` (`gram_forms`) and the lcm scale of
+    the reference `lcm_forms`.  Small d keeps the slots narrow;
+    d = 999999937 makes them wide.  Zero and identity members, zero pencils
+    and dependent lines all occur.
     """
-    k, _, ctx = spectrum._check_tuple(projs)
+    _, _, ctx = spectrum._check_tuple(projs)
     ranks = [p.rank for p in projs]
-    for entry, _ in (spectrum._scaled_entries(projs),
-                     reference_pencil.lcm_entries(projs)):
-        w = spectrum._slot_width(entry, ctx.d)
-        packed = spectrum._packed_dp(entry, ranks, ctx.d, w)
-        assert packed == reference_pencil.dict_dp(entry, k, ctx.d)
+    for forms, _ in (reference_pencil.gram_forms(projs),
+                     reference_pencil.lcm_forms(projs)):
+        w = spectrum._slot_width(forms, ctx.d)
+        packed = spectrum._packed_dp(forms, ranks, ctx.d, w)
+        assert packed == reference_pencil.dict_dp(forms, ctx.d)
         assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
 
 
@@ -217,11 +217,11 @@ def test_packed_decode_raises_past_its_bound():
     """A slot too narrow for a coefficient raises instead of misreading it."""
     p = diag_projection([1, 0])
     q = rank_one([K.one, K.elem(2)])  # 5 Q = [[1, 2], [2, 4]]
-    entry, _ = spectrum._scaled_entries([p, q])
-    assert reference_pencil.dict_dp(entry, 2, 2) == {(1, 1): (4, 0, 0, 0)}
-    assert spectrum._packed_dp(entry, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
+    forms, _ = reference_pencil.gram_forms([p, q])
+    assert reference_pencil.dict_dp(forms, 2) == {(1, 1): (4, 0, 0, 0)}
+    assert spectrum._packed_dp(forms, [1, 1], 2, 4) == {(1, 1): (4, 0, 0, 0)}
     with pytest.raises(RuntimeError, match="proven bound"):
-        spectrum._packed_dp(entry, [1, 1], 2, 2)
+        spectrum._packed_dp(forms, [1, 1], 2, 2)
 
 
 # Column kinds of X_l: every component, or only the real, the i or the
@@ -232,7 +232,7 @@ _COLUMN_KINDS = {"mixed": (0, 1, 2, 3), "real": (0,), "imaginary": (2,),
 
 @st.composite
 def gram_form_entries(draw):
-    """Entries of M_l = X_l X_l* for integral n x r_l matrices X_l.
+    """The rows of M_l = X_l X_l* for integral n x r_l matrices X_l.
 
     X_l is over Z[i, sqrt d] with components up to 2^40, past CPython's
     30-bit digit.  M_l is Hermitian of rank at most r_l, which is all that
@@ -242,8 +242,8 @@ def gram_form_entries(draw):
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, 4))
     big = st.integers(-2**40, 2**40)
-    ranks, entry = [], [[[] for _ in range(n)] for _ in range(n)]
-    for l in range(k):
+    ranks, forms = [], []
+    for _ in range(k):
         rank = draw(st.integers(1, n))
         cols = []
         for _ in range(rank):
@@ -251,14 +251,12 @@ def gram_form_entries(draw):
             cols.append([tuple(draw(big) if part in kind else 0
                                for part in range(4)) for _ in range(n)])
         rows = list(zip(*cols))
-        for r in range(n):
-            for j in range(n):
-                conj = [(a, b, -c_, -e) for a, b, c_, e in rows[j]]
-                x = _dot4(rows[r], conj, d)  # (X_l X_l*)_{rj}
-                if any(x):
-                    entry[r][j].append((l, *x))
+        conj = [[(a, b, -c_, -e) for a, b, c_, e in row] for row in rows]
+        # (X_l X_l*)_{rj}
+        forms.append([[_dot4(rows[r], conj[j], d) for j in range(n)]
+                      for r in range(n)])
         ranks.append(rank)
-    return entry, ranks, d
+    return forms, ranks, d
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,10 +268,10 @@ def test_packed_dp_matches_the_dict_dp_on_gram_forms(drawn):
     cross term of the three-product step: u and v, x and y each zero or
     not, and sqrt d parts beside the real ones.
     """
-    entry, ranks, d = drawn
-    w = spectrum._slot_width(entry, d)
-    packed = spectrum._packed_dp(entry, ranks, d, w)
-    assert packed == reference_pencil.dict_dp(entry, len(ranks), d)
+    forms, ranks, d = drawn
+    w = spectrum._slot_width(forms, d)
+    packed = spectrum._packed_dp(forms, ranks, d, w)
+    assert packed == reference_pencil.dict_dp(forms, d)
     assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
 
 
@@ -343,16 +341,16 @@ def test_closed_form_pencil_matches_the_dp(projs):
     reference dict DP can take seconds (the two are compared at those
     sizes by `layout_tuples`).
     """
-    k, n, ctx = spectrum._check_tuple(projs)
+    _, n, ctx = spectrum._check_tuple(projs)
     ranks = [p.rank for p in projs]
     assert sum(ranks) <= n
     pencil = pencil_poly(projs).pencil
     assert all(p._matrix is None for p in projs)  # no matrix was built
-    entry, scales = spectrum._scaled_entries(projs)
-    w = spectrum._slot_width(entry, ctx.d)
-    layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
+    forms, scales = reference_pencil.gram_forms(projs)
+    w = spectrum._slot_width(forms, ctx.d)
+    layouts = [spectrum._packed_dp(forms, ranks, ctx.d, w)]
     if n <= 7:
-        layouts.append(reference_pencil.dict_dp(entry, k, ctx.d))
+        layouts.append(reference_pencil.dict_dp(forms, ctx.d))
     for coefs in layouts:
         assert pencil == spectrum._rescaled(coefs, scales, n, ctx)
     if n <= 5:
@@ -444,7 +442,7 @@ def excess_one_tuples(draw):
 def test_excess_one_pencil_matches_the_dp(projs):
     """e = 1: the Cramer-vector closed form against the DP and Leibniz.
 
-    The packed DP runs on `_scaled_entries`, the reference dict DP up to
+    The packed DP runs on `gram_forms`, the reference dict DP up to
     n = 7 and Leibniz up to n = 5.  No member's matrix is built, every
     term is c^(r - e_l) for some l, and every coefficient is real and
     positive in both real embeddings.
@@ -454,11 +452,11 @@ def test_excess_one_pencil_matches_the_dp(projs):
     assert sum(ranks) == n + 1
     pencil = pencil_poly(projs).pencil
     assert all(p._matrix is None for p in projs)  # no matrix was built
-    entry, scales = spectrum._scaled_entries(projs)
-    w = spectrum._slot_width(entry, ctx.d)
-    layouts = [spectrum._packed_dp(entry, ranks, ctx.d, w)]
+    forms, scales = reference_pencil.gram_forms(projs)
+    w = spectrum._slot_width(forms, ctx.d)
+    layouts = [spectrum._packed_dp(forms, ranks, ctx.d, w)]
     if n <= 7:
-        layouts.append(reference_pencil.dict_dp(entry, k, ctx.d))
+        layouts.append(reference_pencil.dict_dp(forms, ctx.d))
     for coefs in layouts:
         assert pencil == spectrum._rescaled(coefs, scales, n, ctx)
     if n <= 5:
@@ -532,16 +530,16 @@ def gram_scale_tuples(draw):
 def test_gram_scaled_pencil_matches_the_reference_dp(drawn):
     """e >= 1: the pencil, closed form or DP, against the rescaled dict DP.
 
-    The reference runs on the lcm scale (`lcm_entries`), so the two share
+    The reference runs on the lcm scale (`lcm_forms`), so the two share
     only the rescaling formula.  A common integer factor of a basis column
     leaves its Gram determinant unchanged, since the columns are made
     primitive.
     """
     factor, projs = drawn  # factor: the integer factor, or None
-    k, n, ctx = spectrum._check_tuple(projs)
+    _, n, ctx = spectrum._check_tuple(projs)
     assert sum(p.rank for p in projs) > n
-    entry, dens = reference_pencil.lcm_entries(projs)
-    expected = spectrum._rescaled(reference_pencil.dict_dp(entry, k, ctx.d),
+    forms, dens = reference_pencil.lcm_forms(projs)
+    expected = spectrum._rescaled(reference_pencil.dict_dp(forms, ctx.d),
                                   dens, n, ctx)
     assert pencil_poly(projs).pencil == expected
     if factor is not None:
@@ -599,9 +597,9 @@ def test_revisited_members_give_the_pencils_of_fresh_copies(drawn):
         assert pencil_poly(projs).pencil == pencil_poly(fresh()).pencil
         grams = spectrum._gram_determinants(projs, d)[1]
         assert grams == spectrum._gram_determinants(fresh(), d)[1]
-        assert spectrum._scaled_entries(projs)[1] == grams
-        assert spectrum._scaled_entries(projs) == \
-            spectrum._scaled_entries(fresh())
+        assert reference_pencil.gram_forms(projs)[1] == grams
+        assert reference_pencil.gram_forms(projs) == \
+            reference_pencil.gram_forms(fresh())
 
 
 @st.composite

@@ -37,9 +37,9 @@ rejected; its numbers are in `BENCH_8.json`.  The reference takes minutes
 on the largest cases, so those (``repeat`` below REPEAT) skip it, and time
 only ``sf``, in one timing of one pass.
 
-The subset DP alone is then timed on the entries g_l P_l of
-`spectrum._scaled_entries`, read from P_l's matrix (`Matrix.scaled`), in
-two layouts taking turns:
+The subset DP alone is then timed on the rows of g_l P_l that P_l's
+matrix keeps (`Matrix.scaled`, read by `gram_forms` of
+`tests/reference_pencil.py`), in two layouts taking turns:
 
 - ``packed``: `spectrum._packed_dp`;
 - ``dict``: `dict_dp` of `tests/reference_pencil.py`, each state a dict
@@ -96,7 +96,7 @@ from jspec.lattice import Projection  # noqa: E402
 from jspec.polyalg import format_poly  # noqa: E402
 from jspec.scalar import FieldContext  # noqa: E402
 from jspec.verify import TrialConfig, random_projection  # noqa: E402
-from reference_pencil import dict_dp  # noqa: E402
+from reference_pencil import dict_dp, gram_forms  # noqa: E402
 from reference_pencil import pencil_poly as reference  # noqa: E402
 from run import REFERENCE_S, reference_loop  # noqa: E402
 
@@ -127,12 +127,12 @@ WAYS = {
         [Projection(p.basis) for p in projs]).pencil,
 }
 
-# Each input holds one tuple's entries, their slot width w, the g_l
+# Each input holds one tuple's forms g_l P_l, their slot width w, the g_l
 # ("scales"), ranks and d.
 LAYOUTS = {
-    "packed": lambda x: spectrum._packed_dp(x["entry"], x["ranks"], x["d"],
+    "packed": lambda x: spectrum._packed_dp(x["forms"], x["ranks"], x["d"],
                                             x["w"]),
-    "dict": lambda x: dict_dp(x["entry"], len(x["ranks"]), x["d"]),
+    "dict": lambda x: dict_dp(x["forms"], x["d"]),
 }
 
 SF_WAYS = {
@@ -203,12 +203,13 @@ def main(names: list[str]) -> int:
             raise SystemExit(f"{name}: the pencils differ")
         dps = []
         for projs in tuples:
-            entry, scales = spectrum._scaled_entries(projs)
+            forms, scales = gram_forms(projs)
             dps.append({"ranks": [p.rank for p in projs], "d": d,
-                        "entry": entry, "scales": scales,
-                        "w": spectrum._slot_width(entry, d)})
+                        "forms": forms, "scales": scales,
+                        "w": spectrum._slot_width(forms, d)})
         row["w"] = [x["w"] for x in dps]
-        row["path"] = ["closed form" if sum(x["ranks"]) <= len(x["entry"]) + 1
+        row["path"] = ["closed form"
+                       if sum(x["ranks"]) <= len(x["forms"][0]) + 1
                        else "packed" for x in dps]
         on_dp = [i for i, path in enumerate(row["path"]) if path == "packed"]
         layouts = {way: {i: fn(x) for i, x in enumerate(dps) if i not in on_dp}
@@ -223,7 +224,7 @@ def main(names: list[str]) -> int:
         ctx = FieldContext(d)
         if results["per_projection"] != [
                 spectrum._rescaled(layouts["packed"][i], x["scales"],
-                                   len(x["entry"]), ctx)
+                                   len(x["forms"][0]), ctx)
                 for i, x in enumerate(dps)]:
             raise SystemExit(f"{name}: pencil_poly and packed differ")
         pencils = [p for p in results["per_projection"] if p]
