@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -18,7 +19,14 @@ from jspec.exactla import Matrix
 from jspec.lattice import Projection, projection_from_json, projection_to_json
 from jspec.maps import ProjectionMap, make_induced, map_from_json
 from jspec.polyalg import format_poly
-from jspec.scalar import Automorphism, FieldContext, ParseError, parse_scalar
+from jspec.scalar import (
+    QUOTE_LIMIT,
+    Automorphism,
+    FieldContext,
+    ParseError,
+    _quote_text,
+    parse_scalar,
+)
 from jspec.spectrum import (
     classify_rank_one_tuple,
     pencil_poly,
@@ -49,12 +57,23 @@ class UsageError(ValueError):
     """Bad flags or inconsistent inputs; reported with exit code 2."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose errors quote at most QUOTE_LIMIT characters
+    of each word, so a long bad argument is not echoed whole."""
+
+    def error(self, message: str):
+        super().error(re.sub(r"\S+", lambda word: _quote_text(word[0]),
+                             message))
+
+
 def _load_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as err:
-        raise UsageError(f"cannot read {path}: {err}") from err
+        # a path that cannot be opened may be any text: quote its end
+        err.filename = _quote_text(path, max(len(path) - QUOTE_LIMIT, 0))
+        raise UsageError(f"cannot read {err.filename}: {err}") from err
     except json.JSONDecodeError as err:
         raise UsageError(f"{path} is not valid JSON: {err}") from err
     except RecursionError as err:
@@ -296,7 +315,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 @functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jspec",
         description="exact joint spectra of projection tuples over Q(i, sqrt d)")
     subs = parser.add_subparsers(dest="command", required=True)

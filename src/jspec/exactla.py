@@ -30,12 +30,11 @@ from jspec.scalar import (
     FieldContext,
     FieldElem,
     Scalarish,
-    _divide,
     _dot4,
     _integral,
+    _inverse4,
     _mul4,
     _quote_int,
-    _real_inverse,
     _reduced,
     _sub4,
     _sub_mul,
@@ -365,21 +364,19 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 def projection_onto(a: Matrix) -> Matrix:
     """The matrix of the orthogonal projection onto the column space of a.
 
-    Computed as a (a*a)^{-1} a* on integers.  The columns of a are made
-    primitive and integral (`_primitive_columns`), which keeps their span
-    and puts a and G = a*a in Z[i, sqrt d].  `_gram_elimination` turns
-    [G | a*] into [g I | adj(G) a*] with g = det G, so the Hermitian
-    N = a adj(G) a* is g P, and each entry of P is that of N divided by g
-    once.  The matrix keeps g and the rows of N as its `scaled` form.  No
-    columns give g = 1, the zero N and the zero projection.
+    Computed as a (a*a)^{-1} a* on integers.  `_gram_elimination` makes
+    the columns of a primitive and integral, which keeps their span and
+    puts a and G = a*a in Z[i, sqrt d], raises for dependent columns, and
+    turns [G | a*] into [g I | adj(G) a*] with g = det G.  So the Hermitian
+    N = a adj(G) a* is g P, and each entry of P is that of N times the one
+    inverse of g (`scalar._inverse4`).  The matrix keeps g and the rows of
+    N as its `scaled` form.  No columns give g = 1, the zero N and the
+    zero projection.
     """
     n, r, ctx = a.nrows, a.ncols, a.ctx
     d = ctx.d
-    cols = _primitive_columns(a)
-    det, m = _gram_elimination(cols, d, adjoint=True)
-    if not any(det):
-        raise ValueError("columns are dependent")
-    flip, norm = _real_inverse(det, d)
+    cols, det, m = _gram_elimination(a, d, adjoint=True)
+    flip, norm = _inverse4(det, d)
     adj = [[row[r + l] for row in m] for l in range(n)]  # columns of adj(G) a*
     rows = [[None] * n for _ in range(n)]  # N, as 4-int tuples
     out = [[None] * n for _ in range(n)]
@@ -409,20 +406,26 @@ def _primitive_columns(a: Matrix) -> list[list[tuple]]:
     return out
 
 
-def _gram_elimination(cols: Sequence[Sequence[tuple]], d: int,
-                     adjoint: bool = False) -> tuple[tuple, list[list]]:
-    """det G for the Gram matrix G = a*a of integral columns, and the rows.
+def _gram_elimination(a: Matrix, d: int, adjoint: bool = False
+                      ) -> tuple[list[list[tuple]], tuple, list[list]]:
+    """The columns of a, det G for their Gram matrix G, and the rows.
 
-    `cols` are the columns of a as 4-int tuples (`_integral`).  A zero
-    leading minor of G means its first columns are dependent, so `_bareiss`
-    never swaps rows here.  With `adjoint` it runs on the rows [G | a*],
-    whose last columns end as adj(G) a*.  They are a* [a | I], of a's
-    rank, so a singular G gives det 0 whatever `_bareiss` swaps in.
+    The columns of a are made primitive and integral
+    (`_primitive_columns`), so G = a*a lies in Z[i, sqrt d], and a zero
+    det G raises ValueError: the columns are dependent.  A zero leading
+    minor of G means its first columns are dependent, so `_bareiss` never
+    swaps rows here.  With `adjoint` it runs on the rows [G | a*], whose
+    last columns end as adj(G) a*.  They are a* [a | I], of a's rank, so
+    a singular G gives det 0 whatever `_bareiss` swaps in.
     """
+    cols = _primitive_columns(a)
     conj = [[(x[0], x[1], -x[2], -x[3]) for x in col] for col in cols]
     m = [[_dot4(conj[j], col, d) for col in cols]
          + (conj[j] if adjoint else []) for j in range(len(cols))]
-    return _bareiss(m, d, jordan=adjoint)[:2]
+    det, rows, _ = _bareiss(m, d, jordan=adjoint)
+    if not any(det):
+        raise ValueError("columns are dependent")
+    return cols, det, rows
 
 
 def _bareiss(rows: list[list[tuple]], d: int,
@@ -432,18 +435,20 @@ def _bareiss(rows: list[list[tuple]], d: int,
     Fraction-free elimination (Bareiss 1968) in place: step k sets each x
     right of column k in another row to (p x - f y) / p', with p the pivot,
     f the row's column-k entry, y the pivot row's and p' the last pivot, an
-    exact division.  A zero pivot swaps in a lower row and flips the sign.
-    With none, column k trades places with the first column past the
-    leading n x n block A that has a nonzero entry in rows k..; `order`
-    lists where each column started, and B = order[:n].  With none there
-    either, column k and all columns past A lie in the span of the k
-    pivot columns, so only the n - k - 1 columns of A after k can add to
-    it, and the rank is below n: det = 0 at once, as with fewer columns
-    than rows.  So a square matrix stops at its first missing pivot, and
-    B = A when A is nonsingular.  No rows give 1.  Without `jordan` only
-    rows below a pivot are updated; with it every row is, and the columns
-    R right of B end as p B^-1 R for the last pivot p (det B without row
-    swaps).
+    exact division.  The step inverts p' once, 1 / p' = y' / N with an
+    integer N (`scalar._inverse4`), so each update is one product by y'
+    (none for a rational p', whose y' is 1) and four exact floor divisions
+    by N.  A zero pivot swaps in a lower row and flips the sign.  With
+    none, column k trades places with the first column past the leading
+    n x n block A that has a nonzero entry in rows k..; `order` lists
+    where each column started, and B = order[:n].  With none there either,
+    column k and all columns past A lie in the span of the k pivot
+    columns, so only the n - k - 1 columns of A after k can add to it, and
+    the rank is below n: det = 0 at once, as with fewer columns than rows.
+    So a square matrix stops at its first missing pivot, and B = A when A
+    is nonsingular.  No rows give 1.  Without `jordan` only rows below a
+    pivot are updated; with it every row is, and the columns R right of B
+    end as p B^-1 R for the last pivot p (det B without row swaps).
     """
     n, sign, prev = len(rows), 1, (1, 0, 0, 0)
     width = len(rows[0]) if rows else 0
@@ -465,12 +470,17 @@ def _bareiss(rows: list[list[tuple]], d: int,
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         top, piv = rows[k], rows[k][k]
+        inv, norm = _inverse4(prev, d)
+        rational = inv == (1, 0, 0, 0)
         for row in rows if jordan else rows[k + 1:]:
             if row is not top:
                 f = row[k]
-                row[k + 1:] = [
-                    _divide(_sub4(_mul4(piv, x, d), _mul4(f, y, d)), prev, d)
-                    for x, y in zip(row[k + 1:], top[k + 1:])]
+                for j in range(k + 1, width):
+                    x = _sub4(_mul4(piv, row[j], d), _mul4(f, top[j], d))
+                    if not rational:
+                        x = _mul4(x, inv, d)
+                    row[j] = (x[0] // norm, x[1] // norm, x[2] // norm,
+                              x[3] // norm)
         prev = piv
     return (prev if sign > 0 else tuple(-x for x in prev)), rows, order
 
@@ -516,7 +526,7 @@ def matrix_from_json(obj: object, ctx: Optional[FieldContext] = None) -> Matrix:
     if "rows" not in obj:
         raise ValueError('matrix form needs a "rows" array')
     d = obj.get("d")
-    if d is not None and not isinstance(d, int):
+    if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
         raise ValueError('"d" must be an integer')
     if ctx is None:
         if d is None:

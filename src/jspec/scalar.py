@@ -9,7 +9,8 @@ automorphisms commuting with complex conjugation: identity, complex
 conjugation (i -> -i), the real flip (sqrt(d) -> -sqrt(d)), and their
 composition.  Bulk exact work runs on the integer form, 4-int tuples in
 Z[i, sqrt(d)], whose helpers live here: `_integral` clears denominators,
-`_mul4`, `_sub4`, `_dot4` and `_divide` compute, `_reduced` reads back.
+`_mul4`, `_sub4` and `_dot4` compute, `_inverse4` inverts (for
+`FieldElem.inv` too), `_reduced` reads back.
 """
 
 from __future__ import annotations
@@ -36,22 +37,37 @@ class ParseError(ValueError):
     """
 
     def __init__(self, message: str, text: str, pos: int):
-        if len(text) > QUOTE_LIMIT:
-            start = max(pos - 20, 0)
-            end = start + QUOTE_LIMIT
-            text = ("..." if start else "") + text[start:end] + (
-                "..." if end < len(text) else "")
+        text = _quote_text(text, max(pos - 20, 0))
         super().__init__(f"{message} at position {pos}: {text!r}")
         self.text = text
         self.pos = pos
 
 
 def _quote_int(x: int) -> str:
-    """x in decimal, or its digit count if that is past QUOTE_LIMIT chars."""
-    text = str(x)
+    """x in decimal, or its digit count if that is past QUOTE_LIMIT chars.
+
+    The count is read from the bit length, as `str` refuses integers past
+    the interpreter's int-string limit.  With 2^(b-1) <= |x| < 2^b and
+    0.30102999 < log10(2), the estimate below is at most the count, and
+    the comparisons with powers of ten raise it to the count.
+    """
+    m = abs(x)
+    if m < 10 ** (QUOTE_LIMIT - (x < 0)):
+        return str(x)
+    digits = int((m.bit_length() - 1) * 0.30102999) + 1
+    while m >= 10 ** digits:
+        digits += 1
+    return f"<an integer of {digits} digits>"
+
+
+def _quote_text(text: str, start: int = 0) -> str:
+    """text, or at most QUOTE_LIMIT characters of it from start on, with
+    "..." marking each cut end."""
     if len(text) <= QUOTE_LIMIT:
         return text
-    return f"<an integer of {len(text.lstrip('-'))} digits>"
+    end = start + QUOTE_LIMIT
+    return ("..." if start else "") + text[start:end] + (
+        "..." if end < len(text) else "")
 
 
 # Largest accepted d: squarefreeness is checked by trial division up to
@@ -261,25 +277,17 @@ class FieldElem:
                           self.ctx)
 
     def inv(self) -> "FieldElem":
-        """Multiplicative inverse, by two-stage rationalization.
-
-        With u = A + B*sqrt(d) and v = C + E*sqrt(d), 1/x = D*(u - v*i)/w for
-        w = u^2 + v^2 = s + t*sqrt(d), and 1/w = (s - t*sqrt(d))/n with
-        n = s^2 - d*t^2, the product of w and its sqrt(d)-conjugate.  Both
-        are sums of two real squares, so n > 0 whenever x != 0.
+        """Multiplicative inverse D*y/norm, for (y, norm) = `_inverse4` of
+        (A, B, C, E), with the signs set so that the denominator is positive.
         """
         if not self:
             raise ZeroDivisionError("inversion of zero scalar")
-        a, b, c, e, den = self._a, self._b, self._c, self._e, self._den
-        if not (b or c or e):
-            return _canonical(den if a > 0 else -den, 0, 0, 0, abs(a),
-                              self.ctx)
-        d = self.ctx.d
-        s = a * a + c * c + d * (b * b + e * e)
-        t = 2 * (a * b + c * e)
-        return _reduced(den * (a * s - d * b * t), den * (b * s - a * t),
-                        den * (d * e * t - c * s), den * (c * t - e * s),
-                        s * s - d * t * t, self.ctx)
+        den = self._den
+        y, norm = _inverse4((self._a, self._b, self._c, self._e), self.ctx.d)
+        if norm < 0:
+            den, norm = -den, -norm
+        return _reduced(den * y[0], den * y[1], den * y[2], den * y[3], norm,
+                        self.ctx)
 
     def __truediv__(self, other: object) -> "FieldElem":
         o = self._coerce(other)
@@ -411,31 +419,27 @@ def _integral(v: Sequence[FieldElem]) -> tuple[int, list[tuple]]:
     return den, out
 
 
-def _real_inverse(w: tuple, d: int) -> tuple[tuple, int]:
-    """(y, norm) with 1 / w = y / norm, for a real w = s + t sqrt d != 0.
+def _inverse4(w: tuple, d: int) -> tuple[tuple, int]:
+    """(y, norm) with 1 / w = y / norm, for a 4-int tuple w != 0.
 
-    norm = s^2 - d t^2 = w * flip(w) is positive when w is positive in
-    both real embeddings, as a Gram determinant is.
+    With u = A + B sqrt d and v = C + E sqrt d, a non-real w is first made
+    real: w conj(w) = u^2 + v^2 = s + t sqrt d.  A real s + t sqrt d, t != 0,
+    is then made rational by its flip: norm = s^2 - d t^2.  A rational w is
+    its own norm.  For a non-real w both s + t sqrt d and its flip are sums
+    of two real squares, so norm > 0; so is it when w is positive in both
+    real embeddings, as a Gram determinant is.
     """
-    s, t = w[0], w[1]
-    if t:
-        return (s, -t, 0, 0), s * s - d * t * t
-    return (1, 0, 0, 0), s
-
-
-def _divide(x: tuple, w: tuple, d: int) -> tuple[int, int, int, int]:
-    """x / w for w != 0, when the quotient lies in Z[i, sqrt d].
-
-    A non-real w is first made real, s + t sqrt d, by conj(w), which the
-    flip of sqrt d then makes rational.
-    """
-    if w[2] or w[3]:
-        w_bar = (w[0], w[1], -w[2], -w[3])
-        x, w = _mul4(x, w_bar, d), _mul4(w, w_bar, d)
-    s, t = w[0], w[1]
-    if t:
-        x, s = _mul4(x, (s, -t, 0, 0), d), s * s - d * t * t
-    return x[0] // s, x[1] // s, x[2] // s, x[3] // s
+    a, b, c, e = w
+    if not (b or c or e):
+        return (1, 0, 0, 0), a
+    if c or e:
+        s = a * a + c * c + d * (b * b + e * e)
+        t = 2 * (a * b + c * e)
+        y = (a * s - d * b * t, b * s - a * t, d * e * t - c * s, c * t - e * s)
+    else:
+        s, t = a, b
+        y = (a, -b, 0, 0)
+    return y, s * s - d * t * t
 
 
 def _sub_mul(x: FieldElem, f: FieldElem, y: FieldElem) -> FieldElem:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, isqrt, lcm
 from typing import Optional, Sequence
 
-from jspec.exactla import _bareiss, _gram_elimination, _primitive_columns
+from jspec.exactla import _bareiss, _gram_elimination
 from jspec.lattice import (
     Projection,
     projection_from_json,
@@ -33,8 +33,8 @@ from jspec.scalar import (
     FieldElem,
     _canonical,
     _dot4,
+    _inverse4,
     _mul4,
-    _real_inverse,
     _reduced,
 )
 
@@ -216,17 +216,13 @@ def _gram_determinants(projs: Sequence[Projection],
                        d: int) -> tuple[list[list[tuple]], list[tuple]]:
     """The primitive integral basis columns and g_l of every P_l.
 
-    The columns come from `exactla._primitive_columns`, and g_l from
-    `exactla._gram_elimination` on them, the same g_l that
-    `projection_onto` keeps on P_l's matrix.  A zero one raises.  d is the
-    members' field parameter.
+    Both come from `exactla._gram_elimination` on P_l's basis, the same g_l
+    that `projection_onto` keeps on P_l's matrix, and a zero one raises.
+    d is the members' field parameter.
     """
     cols, grams = [], []
     for p in projs:
-        a = _primitive_columns(p.basis)
-        gram = _gram_elimination(a, d)[0]
-        if not any(gram):
-            raise ValueError("columns are dependent")
+        a, gram, _ = _gram_elimination(p.basis, d)
         cols.append(a)
         grams.append(gram)
     return cols, grams
@@ -263,7 +259,7 @@ def _closed_form_pencil(projs: Sequence[Projection], ranks: Sequence[int],
     den = (1, 0, 0, 0)
     for gram in grams:
         den = _mul4(den, gram, d)
-    flip, norm = _real_inverse(den, d)
+    flip, norm = _inverse4(den, d)
     terms = {}
     for expts, x in vecs.items():
         num = _dot4([(y[0], y[1], -y[2], -y[3]) for y in x], x, d)
@@ -278,7 +274,7 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
     """The pencil from the DP's coefficients q_alpha of det(sum c_l s_l P_l).
 
     Each coefficient is q_alpha / prod_l s_l^(alpha_l).  With 1 / s_l =
-    y_l / N_l (`_real_inverse`) and N the lcm of the N_l, that is
+    y_l / N_l (`scalar._inverse4`) and N the lcm of the N_l, that is
     q_alpha * prod_l (y_l N / N_l)^(alpha_l) / N^n, as |alpha| = n: the
     products stay in Z[i, sqrt d], and N^n is the one denominator.
     `_packed_dp` returns no zero q_alpha and K has no zero divisors, so the
@@ -286,7 +282,7 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
     `MultiPoly.__init__`.
     """
     d = ctx.d
-    inverses = [_real_inverse(s, d) for s in scales]
+    inverses = [_inverse4(s, d) for s in scales]
     den = lcm(*(norm for _, norm in inverses))
     powers = []  # powers[l][a] = (y_l N / N_l)^a
     for y, norm in inverses:

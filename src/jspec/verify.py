@@ -72,12 +72,11 @@ def default_entry_pool(ctx: FieldContext) -> tuple[FieldElem, ...]:
 # Largest dimension n and tuple length k a suite run accepts.  The pencil's
 # subset DP has 2^n states and its polynomial up to C(n+k-1, k-1) terms: on
 # a 2-core x86 VM with Python 3.11 one pairs trial takes about 1.4 s at
-# n = 12 and did not finish within 60 s at n = 16 (before the DP was
-# fraction-free).  With the Gram scale one pencil of three rank-9 members
-# of K^12 takes about 3.4 s (`BENCH_18.json`).  A tuple whose ranks add up
-# to at most n + 1 (n or n + 1 rank-one lines) skips the DP for a closed
-# form: a few thousandths of a second for 10 lines on K^10 or on K^9
-# (`BENCH_20.json`).
+# n = 12 and did not finish within 60 s at n = 16.  One pencil of three
+# rank-9 members of K^12 takes about 3.1 s (`BENCH_21.json`).  A tuple
+# whose ranks add up to at most n + 1 (n or n + 1 rank-one lines) skips
+# the DP for a closed form: a few thousandths of a second for 10 lines on
+# K^10 or on K^9 (`BENCH_20.json`).
 # Trials and witness budgets cost linear time and stay unbounded.
 MAX_N = 12
 MAX_K = 10

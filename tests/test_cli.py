@@ -10,7 +10,7 @@ from jspec.cli import main
 from jspec.exactla import Matrix, matrix_to_json
 from jspec.lattice import projection_from_json, rank_one
 from jspec.polyalg import parse_poly
-from jspec.scalar import FieldContext
+from jspec.scalar import QUOTE_LIMIT, FieldContext
 from jspec.spectrum import tuple_to_json
 from jspec.verify import TrialConfig, random_projection
 
@@ -289,6 +289,39 @@ def test_long_d_is_named_by_its_digit_count(where, tmp_path, capsys):
     assert code == 2 and out == ""
     assert "an integer of 4000 digits" in err
     assert len(err.encode()) < 200
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--tuple", "@t", "--d", LONG],
+    ["verify", "--suite", "pairs", "--n", LONG],
+    ["verify", "--suite", LONG],
+    [LONG],
+    ["witness", "--kind", LONG],
+    ["lattice", "--op", LONG, "--p", "@t"],
+    ["poly", "--tuple", "@t", "--" + LONG],
+    ["poly", "--tuple", "@" + LONG],
+], ids=["--d", "--n", "--suite", "command", "--kind", "--op", "option",
+        "--tuple"])
+def test_long_bad_argument_is_quoted_in_part(argv, tmp_path, capsys):
+    """A 5000-character bad value is quoted to at most QUOTE_LIMIT
+    characters; the message after argparse's usage lines stays short."""
+    t = basis_tuple_file(tmp_path)
+    argv = [t if a == "@t" else str(tmp_path / a[1:]) if a[0] == "@" else a
+            for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "x" * (QUOTE_LIMIT + 1) not in err
+    assert len(err[err.index("error: "):].encode()) < 300
+
+
+def test_boolean_d_in_a_file_is_not_an_integer(tmp_path, capsys):
+    path = write(tmp_path / "d.json", {"projections": [
+        {"span": {"d": True, "rows": [["1"], ["0"]]}}]})
+    code, out, err = run(capsys, ["poly", "--tuple", path])
+    assert (code, out, err) == (2, "", 'error: "d" must be an integer\n')
 
 
 def test_huge_n_fails_fast(capsys):

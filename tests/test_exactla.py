@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jspec.exactla import (
     Matrix,
@@ -19,7 +19,7 @@ from jspec.exactla import (
     vdot,
 )
 from jspec.scalar import (ALL_AUTOMORPHISMS, FieldContext, Automorphism,
-                          _divide, _integral, _mul4, _sub_mul)
+                          _integral, _inverse4, _mul4, _sub_mul)
 from fractions import Fraction
 from reference_linalg import det_leibniz, rref_reference, vstack
 
@@ -288,27 +288,38 @@ def test_bareiss_column_step(drawn):
 INTS = st.integers(-50, 50)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 999999937)), st.tuples(INTS, INTS, INTS, INTS),
-       st.sampled_from(("non-real", "real with sqrt d", "rational")),
+       st.sampled_from(("non-real", "real with sqrt d", "rational",
+                        "negative")),
        st.tuples(INTS, INTS, INTS, INTS))
-def test_divide_undoes_mul4(d, x, kind, w):
+@example(2, (5, -1, 2, 9), "non-real", (1, 2, -3, 1))
+@example(3, (5, -1, 2, 9), "non-real", (0, 0, 0, -2))
+@example(999999937, (5, -1, 2, 9), "real with sqrt d", (3, -2, 0, 0))
+@example(2, (5, -1, 2, 9), "negative", (-7, 0, 0, 0))
+def test_inverse4_rationalizes(d, x, kind, w):
+    """w y = norm != 0, and x w divides back to x through (y, norm)."""
     w = {"non-real": w, "real with sqrt d": (w[0], w[1], 0, 0),
-         "rational": (w[0], 0, 0, 0)}[kind]
+         "rational": (w[0], 0, 0, 0),
+         "negative": (-abs(w[0]) or -1, 0, 0, 0)}[kind]
     if kind == "non-real" and not (w[2] or w[3]):
         w = (w[0], w[1], 1, w[3])
     if kind == "real with sqrt d" and not w[1]:
         w = (w[0], 1, 0, 0)
     if not any(w):
         w = (1, 0, 0, 0)
-    assert _divide(_mul4(x, w, d), w, d) == x
-
-
-def test_divide_fixed_cases():
-    for d in (2, 3, 999999937):
-        for w in ((1, 2, -3, 1), (0, 0, 0, -2), (3, -2, 0, 0), (-7, 0, 0, 0)):
-            x = (5, -1, 2, 9)
-            assert _divide(_mul4(x, w, d), w, d) == x
+    y, norm = _inverse4(w, d)
+    assert norm != 0 and _mul4(w, y, d) == (norm, 0, 0, 0)
+    if kind == "non-real":  # norm = s^2 - d t^2 for s + t sqrt d = w conj(w)
+        s, t, _, _ = _mul4(w, (w[0], w[1], -w[2], -w[3]), d)
+        assert norm == s * s - d * t * t > 0
+    elif kind == "real with sqrt d":  # the flip alone
+        assert (y, norm) == ((w[0], -w[1], 0, 0), w[0] ** 2 - d * w[1] ** 2)
+    else:
+        assert (y, norm) == ((1, 0, 0, 0), w[0])
+    product = _mul4(_mul4(x, w, d), y, d)
+    assert all(c % norm == 0 for c in product)
+    assert tuple(c // norm for c in product) == x
 
 
 def test_integral_clears_denominators():
@@ -544,6 +555,14 @@ def test_matrix_json_errors():
             matrix_from_json(bad)
     with pytest.raises(ValueError):
         matrix_from_json({"d": 3, "rows": [["1"]]}, K)
+
+
+@pytest.mark.parametrize("ctx", [None, K])
+def test_matrix_json_rejects_a_boolean_d(ctx):
+    # bool is an int subclass; true must not read as d = 1
+    for d in (True, False):
+        with pytest.raises(ValueError, match='^"d" must be an integer$'):
+            matrix_from_json({"d": d, "rows": [["1"]]}, ctx)
 
 
 def test_matrix_shape_errors():

@@ -10,8 +10,10 @@ from jspec.scalar import (
     ALL_AUTOMORPHISMS,
     Automorphism,
     MAX_D,
+    QUOTE_LIMIT,
     FieldContext,
     ParseError,
+    _quote_int,
     format_scalar,
     parse_scalar,
 )
@@ -113,6 +115,27 @@ def test_context_rejects_non_squarefree_d():
             FieldContext(bad)
     for good in (2, 3, 5, 6, 7, 10, 999999937):  # the largest prime <= MAX_D
         assert FieldContext(good).d == good
+
+
+@pytest.mark.parametrize("sign, rule", [(1, f"at most {MAX_D}"),
+                                        (-1, "a squarefree integer >= 2")])
+def test_d_past_the_int_string_limit_is_named_by_its_digit_count(sign, rule):
+    # 10**5000 has more digits than str() converts by default
+    with pytest.raises(ValueError) as info:
+        FieldContext(sign * 10**5000)
+    assert str(info.value) == \
+        f"d must be {rule}, got <an integer of 5001 digits>"
+
+
+def test_quote_int_counts_digits_at_powers_of_ten():
+    # 10**k - 1 has k digits and 10**k has k + 1, also past str()'s limit
+    for k in [*range(1, 400), 4299, 4300, 4301, 20000]:
+        for x, digits in ((10**k - 1, k), (10**k, k + 1)):
+            for sign in (1, -1):
+                width = digits + (sign < 0)
+                assert _quote_int(sign * x) == (
+                    str(sign * x) if width <= QUOTE_LIMIT else
+                    f"<an integer of {digits} digits>")
 
 
 def test_contexts_do_not_mix():
