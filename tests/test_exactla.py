@@ -288,6 +288,37 @@ def test_bareiss_column_step(drawn):
 INTS = st.integers(-50, 50)
 
 
+def _divide(z, w, d):
+    """z / w through _inverse4's (y, norm), checking that it is exact."""
+    y, norm = _inverse4(w, d)
+    product = _mul4(z, y, d)
+    assert all(c % norm == 0 for c in product)
+    return tuple(c // norm for c in product)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 999999937)), st.tuples(INTS, INTS, INTS, INTS),
+       st.sampled_from(("non-real", "real with sqrt d", "rational")),
+       st.tuples(INTS, INTS, INTS, INTS))
+def test_divide_undoes_mul4(d, x, kind, w):
+    w = {"non-real": w, "real with sqrt d": (w[0], w[1], 0, 0),
+         "rational": (w[0], 0, 0, 0)}[kind]
+    if kind == "non-real" and not (w[2] or w[3]):
+        w = (w[0], w[1], 1, w[3])
+    if kind == "real with sqrt d" and not w[1]:
+        w = (w[0], 1, 0, 0)
+    if not any(w):
+        w = (1, 0, 0, 0)
+    assert _divide(_mul4(x, w, d), w, d) == x
+
+
+def test_divide_fixed_cases():
+    for d in (2, 3, 999999937):
+        for w in ((1, 2, -3, 1), (0, 0, 0, -2), (3, -2, 0, 0), (-7, 0, 0, 0)):
+            x = (5, -1, 2, 9)
+            assert _divide(_mul4(x, w, d), w, d) == x
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 999999937)), st.tuples(INTS, INTS, INTS, INTS),
        st.sampled_from(("non-real", "real with sqrt d", "rational",
@@ -317,9 +348,7 @@ def test_inverse4_rationalizes(d, x, kind, w):
         assert (y, norm) == ((w[0], -w[1], 0, 0), w[0] ** 2 - d * w[1] ** 2)
     else:
         assert (y, norm) == ((1, 0, 0, 0), w[0])
-    product = _mul4(_mul4(x, w, d), y, d)
-    assert all(c % norm == 0 for c in product)
-    assert tuple(c // norm for c in product) == x
+    assert _divide(_mul4(x, w, d), w, d) == x
 
 
 def test_integral_clears_denominators():
