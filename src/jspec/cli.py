@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -59,25 +58,35 @@ class UsageError(ValueError):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argparse parser whose errors quote at most QUOTE_LIMIT characters
-    of each word, so a long bad argument is not echoed whole."""
+    of the message, so neither a long bad argument nor a long run of short
+    ones is echoed whole.  A "(choose from ...)" list of one of the
+    parser's own options, which ends the message, prints whole."""
 
     def error(self, message: str):
-        super().error(re.sub(r"\S+", lambda word: _quote_text(word[0]),
-                             message))
+        keep = ""
+        for action in self._actions:
+            if not action.choices:
+                continue
+            for show in (repr, str):  # the list's form varies by Python
+                tail = f" (choose from {', '.join(map(show, action.choices))})"
+                if message.endswith(tail):
+                    keep = tail
+        super().error(_quote_text(message[:len(message) - len(keep)]) + keep)
 
 
 def _load_json(path: str) -> object:
+    # a path may be any text: every message quotes its end
+    quoted = _quote_text(path, max(len(path) - QUOTE_LIMIT, 0))
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as err:
-        # a path that cannot be opened may be any text: quote its end
-        err.filename = _quote_text(path, max(len(path) - QUOTE_LIMIT, 0))
-        raise UsageError(f"cannot read {err.filename}: {err}") from err
+        err.filename = quoted
+        raise UsageError(f"cannot read {quoted}: {err}") from err
     except json.JSONDecodeError as err:
-        raise UsageError(f"{path} is not valid JSON: {err}") from err
+        raise UsageError(f"{quoted} is not valid JSON: {err}") from err
     except RecursionError as err:
-        raise UsageError(f"{path} nests JSON too deeply to read") from err
+        raise UsageError(f"{quoted} nests JSON too deeply to read") from err
 
 
 def _rows_in(obj: object, key: str) -> int:
@@ -303,9 +312,14 @@ def _cmd_witness(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_field(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--d", type=int, default=2,
                      help="squarefree field parameter (default 2)")
+
+
+def _add_seeded(sub: argparse.ArgumentParser) -> None:
+    """The flags of the seeded subcommands, verify and witness."""
+    _add_field(sub)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"base seed for all randomness "
                           f"(default {DEFAULT_SEED})")
@@ -322,20 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("poly", help="print the pencil polynomial")
     sub.add_argument("--tuple", required=True, metavar="FILE")
-    _add_common(sub)
+    _add_field(sub)
     sub.set_defaults(handler=_cmd_poly)
 
     sub = subs.add_parser("classify",
                           help="full / coordinate-hyperplanes / hypersurface")
     sub.add_argument("--tuple", required=True, metavar="FILE")
-    _add_common(sub)
+    _add_field(sub)
     sub.set_defaults(handler=_cmd_classify)
 
     sub = subs.add_parser("member", help="test a point against the spectrum")
     sub.add_argument("--tuple", required=True, metavar="FILE")
     sub.add_argument("--point", required=True,
                      help="comma-separated scalars, e.g. \"1,1,-2\"")
-    _add_common(sub)
+    _add_field(sub)
     sub.set_defaults(handler=_cmd_member)
 
     sub = subs.add_parser("lattice", help="meet/join/rank/leq/orth")
@@ -343,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("meet", "join", "rank", "leq", "orth"))
     sub.add_argument("--p", required=True, metavar="FILE")
     sub.add_argument("--q", metavar="FILE")
-    _add_common(sub)
+    _add_field(sub)
     sub.set_defaults(handler=_cmd_lattice)
 
     sub = subs.add_parser("map-apply", help="apply a map file to a projection")
     sub.add_argument("--map", required=True, metavar="FILE")
     sub.add_argument("--p", required=True, metavar="FILE")
-    _add_common(sub)
+    _add_field(sub)
     sub.set_defaults(handler=_cmd_map_apply)
 
     sub = subs.add_parser("verify", help="run one seeded check suite")
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--map", metavar="FILE",
                      help="map file for the map-driven suites")
-    _add_common(sub)
+    _add_seeded(sub)
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("witness",
@@ -375,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--expect", choices=("found", "absent"),
                      default="found",
                      help="exit 0 only on this outcome (default found)")
-    _add_common(sub)
+    _add_seeded(sub)
     sub.set_defaults(handler=_cmd_witness)
     return parser
 

@@ -16,6 +16,10 @@ Gauss-Jordan on the integral Gram matrix, the projection A (A*A)^{-1} A*
 onto a column space, with one division per entry at the end.  The
 projection matrix keeps the rows of the integral form it was divided out
 of (`Matrix.scaled`), which the pencil DP reads as they are.
+
+Every scalar argument, a matrix entry, a vector entry of `matvec` or
+`vdot` or a scalar factor, enters K through `scalar._as_elem`, the one
+coercion: a float, a text or an element of another field is refused there.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from jspec.scalar import (
     FieldContext,
     FieldElem,
     Scalarish,
+    _as_elem,
     _dot4,
+    _find_ctx,
     _integral,
     _inverse4,
     _mul4,
@@ -43,23 +49,6 @@ from jspec.scalar import (
 )
 
 Vector = tuple[FieldElem, ...]
-
-
-def _as_elem(x: Scalarish, ctx: FieldContext) -> FieldElem:
-    if isinstance(x, FieldElem):
-        if x.ctx.d != ctx.d:
-            raise ValueError(f"entry from d={x.ctx.d} in a d={ctx.d} matrix")
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ctx.elem(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
-
-
-def _find_ctx(entries: Iterable[object]) -> Optional[FieldContext]:
-    for x in entries:
-        if isinstance(x, FieldElem):
-            return x.ctx
-    return None
 
 
 class Matrix:

@@ -19,14 +19,12 @@ from typing import Optional, Sequence
 
 from jspec.exactla import (
     Matrix,
-    _as_elem,
-    _find_ctx,
     hstack,
     matrix_from_json,
     matrix_to_json,
     projection_onto,
 )
-from jspec.scalar import FieldContext, Scalarish
+from jspec.scalar import FieldContext, Scalarish, _as_elem, _find_ctx
 
 
 class Projection:

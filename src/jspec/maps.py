@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from jspec.exactla import (
     Matrix,
-    _as_elem,
     automorphism_entrywise,
     gram_schmidt,
     matrix_from_json,
@@ -27,7 +26,7 @@ from jspec.exactla import (
     vdot,
 )
 from jspec.lattice import Projection, rank_one, zero_projection
-from jspec.scalar import Automorphism, FieldContext, Scalarish
+from jspec.scalar import Automorphism, FieldContext, Scalarish, _as_elem
 
 
 class OrthogonalityError(ValueError):

@@ -32,6 +32,7 @@ from jspec.scalar import (
     ParseError,
     Scalarish,
     _Parser,
+    _as_elem,
     _integral,
     format_scalar,
     parse_scalar,
@@ -48,12 +49,13 @@ class MultiPoly:
     """A polynomial in nvars variables over K, immutable and canonical.
 
     Only nonzero coefficients are stored; two equal polynomials have equal
-    term maps.
+    term maps.  Every coefficient, scalar factor and evaluation point from
+    outside enters K through `scalar._as_elem`.
     """
 
     __slots__ = ("nvars", "terms", "ctx")
 
-    def __init__(self, nvars: int, terms: dict[Expts, FieldElem],
+    def __init__(self, nvars: int, terms: dict[Expts, Scalarish],
                  ctx: FieldContext):
         clean: dict[Expts, FieldElem] = {}
         for expts, coef in terms.items():
@@ -62,6 +64,7 @@ class MultiPoly:
                     f"exponent vector {expts} in a {nvars}-variable polynomial")
             if any(e < 0 for e in expts):
                 raise ValueError(f"negative exponent in {expts}")
+            coef = _as_elem(coef, ctx)
             if coef:
                 clean[expts] = coef
         self.nvars = nvars
@@ -92,8 +95,7 @@ class MultiPoly:
     @classmethod
     def const(cls, nvars: int, value: Scalarish,
               ctx: FieldContext) -> "MultiPoly":
-        v = value if isinstance(value, FieldElem) else ctx.elem(value)
-        return cls(nvars, {(0,) * nvars: v}, ctx)
+        return cls(nvars, {(0,) * nvars: value}, ctx)
 
     @classmethod
     def variable(cls, index: int, nvars: int, ctx: FieldContext) -> "MultiPoly":
@@ -106,8 +108,7 @@ class MultiPoly:
     @classmethod
     def monomial(cls, expts: Expts, coef: Scalarish,
                  ctx: FieldContext) -> "MultiPoly":
-        v = coef if isinstance(coef, FieldElem) else ctx.elem(coef)
-        return cls(len(expts), {tuple(expts): v}, ctx)
+        return cls(len(expts), {tuple(expts): coef}, ctx)
 
     # -- structure -------------------------------------------------------------
 
@@ -196,7 +197,7 @@ class MultiPoly:
 
     def __mul__(self, other: object) -> "MultiPoly":
         if isinstance(other, (FieldElem, int, Fraction)):
-            s = other if isinstance(other, FieldElem) else self.ctx.elem(other)
+            s = _as_elem(other, self.ctx)
             if not s:
                 return MultiPoly.zero(self.nvars, self.ctx)
             return MultiPoly._of(self.nvars,
@@ -253,8 +254,7 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError(
                 f"point of length {len(point)} for {self.nvars} variables")
-        pt = [x if isinstance(x, FieldElem) else self.ctx.elem(x)
-              for x in point]
+        pt = [_as_elem(x, self.ctx) for x in point]
         total = self.ctx.zero
         for expts, coef in self.terms.items():
             term = coef

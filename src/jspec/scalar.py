@@ -7,10 +7,17 @@ denominator, reduced by their joint gcd, so arithmetic runs on Python ints
 and equality is exact and componentwise.  K carries exactly four field
 automorphisms commuting with complex conjugation: identity, complex
 conjugation (i -> -i), the real flip (sqrt(d) -> -sqrt(d)), and their
-composition.  Bulk exact work runs on the integer form, 4-int tuples in
-Z[i, sqrt(d)], whose helpers live here: `_integral` clears denominators,
-`_mul4`, `_sub4` and `_dot4` compute, `_inverse4` inverts (for
-`FieldElem.inv` too), `_reduced` reads back.
+composition.
+
+`_as_elem` is the one coercion of a scalar argument into K: every matrix,
+vector and polynomial entry point takes its scalars through it, so a
+float, a text or an element of another field is refused in one place.
+`FieldElem._coerce` is its operator twin.
+
+Bulk exact work runs on the integer form, 4-int tuples in Z[i, sqrt(d)],
+whose helpers live here: `_integral` clears denominators, `_mul4`,
+`_sub4` and `_dot4` compute, `_inverse4` inverts (for `FieldElem.inv`
+too), `_reduced` reads back.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import enum
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 Scalarish = Union["FieldElem", int, Fraction]
@@ -112,7 +119,8 @@ class FieldContext:
         return f"FieldContext(d={self.d})"
 
     def elem(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, e: Rat = 0) -> FieldElem:
-        """The element a + b*sqrt(d) + (c + e*sqrt(d))*i."""
+        """The element a + b*sqrt(d) + (c + e*sqrt(d))*i, for int or
+        Fraction components."""
         if not (b or c or e):
             if type(a) is int:
                 return _canonical(a, 0, 0, 0, 1, self)
@@ -147,14 +155,19 @@ class FieldElem:
     D > 0 and gcd(A, B, C, E, D) = 1, so zero has D = 1.  The form is
     canonical, so equality is a field-by-field compare; a rational element
     hashes like the equal `Fraction`.  The components a, b, c, e are read as
-    `Fraction`s.  Supports mixing with int and Fraction on either side.
+    `Fraction`s, and only ints and Fractions are taken as components.
+    Supports mixing with int and Fraction on either side.
     """
 
     __slots__ = ("_a", "_b", "_c", "_e", "_den", "ctx")
 
     def __init__(self, a: Rat, b: Rat, c: Rat, e: Rat, ctx: FieldContext):
-        parts = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-                 for x in (a, b, c, e)]
+        parts = (a, b, c, e)
+        for x in parts:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot use {type(x).__name__} as a "
+                                "component of a scalar; expected int or "
+                                "Fraction")
         # Canonical as built: for each prime p of den, the part whose reduced
         # denominator holds p's full power gets a numerator and multiplier
         # prime to p.
@@ -187,6 +200,14 @@ class FieldElem:
         return self._a, self._b, self._c, self._e, self._den
 
     def _coerce(self, other: object) -> "FieldElem | None":
+        """`other` as an element of this field, for the operators.
+
+        The same rule as `_as_elem`, kept apart from it for two reasons:
+        it returns None for a foreign type, so that the operator returns
+        NotImplemented and Python tries the reflected one (a `MultiPoly`
+        or a `Matrix` times a scalar), and it runs once per scalar
+        operation, where `_as_elem`'s call and context lookup would cost.
+        """
         if isinstance(other, FieldElem):
             if other.ctx.d != self.ctx.d:
                 raise ValueError(
@@ -340,6 +361,33 @@ class FieldElem:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+def _as_elem(x: Scalarish, ctx: FieldContext) -> FieldElem:
+    """x as an element of ctx: the one coercion of a scalar argument into K.
+
+    A FieldElem of ctx's d passes through, an int or a Fraction becomes
+    `ctx.elem(x)`, a FieldElem of another d raises ValueError, and
+    anything else, a float or a str among them, raises TypeError: a float
+    is not exact, and text goes through `parse_scalar`.
+    """
+    if isinstance(x, FieldElem):
+        if x.ctx.d != ctx.d:
+            raise ValueError(
+                f"scalar from d={x.ctx.d} in a d={ctx.d} computation")
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ctx.elem(x)
+    raise TypeError(f"cannot use {type(x).__name__} as a scalar; expected "
+                    "FieldElem, int or Fraction")
+
+
+def _find_ctx(entries: Iterable[object]) -> Optional[FieldContext]:
+    """The field of the first FieldElem among entries, None if none is."""
+    for x in entries:
+        if isinstance(x, FieldElem):
+            return x.ctx
+    return None
 
 
 _new = object.__new__

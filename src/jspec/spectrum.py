@@ -202,13 +202,25 @@ def pencil_poly(projs: Sequence[Projection]) -> JointSpectrum:
     basis, so on the DP path that check happens before `_packed_dp`
     trusts any rank.  The closed form needs no matrix, so it eliminates
     each G_l itself (`_gram_determinants`).
+
+    The DP's size.  Each packed component spans w * digits bits (the slot
+    width and `_radices`), and the DP passes through at most 2^n states,
+    so 2^n * w * digits bounds the bits it touches per component.  n and k
+    alone do not bound it, so a tuple whose bound passes MAX_DP_BITS
+    raises ValueError before the DP starts.
     """
     k, n, ctx = _check_tuple(projs)
     ranks = [p.rank for p in projs]
     if sum(ranks) <= n + 1:
         return JointSpectrum(k, n, _closed_form_pencil(projs, ranks, n, ctx))
     scales, forms = zip(*(p.matrix.scaled for p in projs))
-    coefs = _packed_dp(forms, ranks, ctx.d, _slot_width(forms, ctx.d))
+    w = _slot_width(forms, ctx.d)
+    digits = _radices(ranks)[1]
+    if (1 << n) * w * digits > MAX_DP_BITS:
+        raise ValueError(
+            f"pencil too large for the subset DP: 2^{n} states of "
+            f"{digits} digits of {w} bits exceed {MAX_DP_BITS} bits")
+    coefs = _packed_dp(forms, ranks, ctx.d, w)
     return JointSpectrum(k, n, _rescaled(coefs, scales, n, ctx))
 
 
@@ -301,6 +313,17 @@ def _rescaled(coefs: Coefficients, scales: Sequence[tuple], n: int,
 
 
 Coefficients = dict[tuple[int, ...], tuple[int, int, int, int]]
+
+# Largest 2^n * w * digits the subset DP takes (see `pencil_poly`), about
+# 2.1e9.  The largest DP of the tests, suites and demos reaches 5.0e7
+# (43 times below), of the benchmark workloads 3.0e5, and the n = 12 case
+# of `tools/pencil_sizes.py` 1.9e8 (11 times below).  Timed in a child
+# process capped by RLIMIT_AS, on a 2-core x86 VM with Python 3.11:
+# n = 12 tuples at 5.9e8 (k = 4), 1.3e9 and 3.0e9 (k = 5), and 1.2e9,
+# 1.9e9 and 6.0e9 (k = 10) took 10, 30, 56, 50, 105 and 305 s and peaked
+# at 118, 275, 529, 322, 488 and 1487 MB.  The first map-preserve trial at
+# n = 8, k = 10 reaches 1.9e11.
+MAX_DP_BITS = 1 << 31
 
 
 def _radices(ranks: Sequence[int]) -> tuple[list[int], int]:

@@ -70,10 +70,14 @@ def default_entry_pool(ctx: FieldContext) -> tuple[FieldElem, ...]:
 
 
 # Largest dimension n and tuple length k a suite run accepts.  The pencil's
-# subset DP has 2^n states and its polynomial up to C(n+k-1, k-1) terms: on
-# a 2-core x86 VM with Python 3.11 one pairs trial takes about 1.4 s at
-# n = 12 and did not finish within 60 s at n = 16.  One pencil of three
-# rank-9 members of K^12 takes about 3.1 s (`BENCH_21.json`).  A tuple
+# subset DP has up to 2^n states, and each state packs its polynomial
+# into ints of w * prod(r_l + 1) bits (slot width w, and the box of the
+# ranks r_l but the largest, `spectrum._radices`): on a 2-core x86 VM
+# with Python 3.11 one pairs trial takes about 1.4 s at n = 12 and did not
+# finish within 60 s at n = 16.  One pencil of three rank-9 members of
+# K^12 takes about 3.1 s (`BENCH_21.json`).  The box grows with k and the
+# ranks, and w with the entries' bits, so these caps do not bound the DP;
+# `spectrum.MAX_DP_BITS` does, and refuses larger tuples.  A tuple
 # whose ranks add up to at most n + 1 (n or n + 1 rank-one lines) skips
 # the DP for a closed form: a few thousandths of a second for 10 lines on
 # K^10 or on K^9 (`BENCH_20.json`).

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from jspec.cli import main
+from jspec import spectrum
+from jspec.cli import VERIFY_SUITES, build_parser, main
 from jspec.exactla import Matrix, matrix_to_json
 from jspec.lattice import projection_from_json, rank_one
 from jspec.polyalg import parse_poly
@@ -292,22 +293,30 @@ def test_long_d_is_named_by_its_digit_count(where, tmp_path, capsys):
 
 
 LONG = "x" * 5000
+COMMANDS = ("poly", "classify", "member", "lattice", "map-apply", "verify",
+            "witness")
 
 
-@pytest.mark.parametrize("argv", [
-    ["poly", "--tuple", "@t", "--d", LONG],
-    ["verify", "--suite", "pairs", "--n", LONG],
-    ["verify", "--suite", LONG],
-    [LONG],
-    ["witness", "--kind", LONG],
-    ["lattice", "--op", LONG, "--p", "@t"],
-    ["poly", "--tuple", "@t", "--" + LONG],
-    ["poly", "--tuple", "@" + LONG],
+@pytest.mark.parametrize("argv, choices", [
+    (["poly", "--tuple", "@t", "--d", LONG], ()),
+    (["verify", "--suite", "pairs", "--n", LONG], ()),
+    (["verify", "--suite", LONG], VERIFY_SUITES),
+    ([LONG], COMMANDS),
+    (["witness", "--kind", LONG], ("flip-triple", "flip-rank-one")),
+    (["lattice", "--op", LONG, "--p", "@t"],
+     ("meet", "join", "rank", "leq", "orth")),
+    (["poly", "--tuple", "@t", "--" + LONG], ()),
+    (["poly", "--tuple", "@" + LONG], ()),
+    (["verify", "--suite", " ".join(["a"] * 2500)], VERIFY_SUITES),
+    (["verify", "--suite", "pairs", "--n", " ".join(["1"] * 2500)], ()),
+    (["poly", "--tuple", "@t"] + ["zz"] * 2500, ()),
 ], ids=["--d", "--n", "--suite", "command", "--kind", "--op", "option",
-        "--tuple"])
-def test_long_bad_argument_is_quoted_in_part(argv, tmp_path, capsys):
-    """A 5000-character bad value is quoted to at most QUOTE_LIMIT
-    characters; the message after argparse's usage lines stays short."""
+        "--tuple", "--suite words", "--n words", "unrecognized words"])
+def test_long_bad_argument_is_quoted_in_part(argv, choices, tmp_path,
+                                             capsys):
+    """A 5000-character bad value, or a run of 2500 short words, is quoted
+    to at most QUOTE_LIMIT characters; the message after argparse's usage
+    lines stays short, and a "(choose from ...)" list prints whole."""
     t = basis_tuple_file(tmp_path)
     argv = [t if a == "@t" else str(tmp_path / a[1:]) if a[0] == "@" else a
             for a in argv]
@@ -315,6 +324,9 @@ def test_long_bad_argument_is_quoted_in_part(argv, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "x" * (QUOTE_LIMIT + 1) not in err
     assert len(err[err.index("error: "):].encode()) < 300
+    listed = err[err.index("error: "):].partition("(choose from ")[2]
+    assert [c.strip("' ") for c in listed.rstrip(")\n").split(",")
+            if c] == list(choices)
 
 
 def test_boolean_d_in_a_file_is_not_an_integer(tmp_path, capsys):
@@ -349,12 +361,6 @@ def test_huge_n_fails_fast(capsys):
                "--map=--"]),
     ("--map", ["witness", "--kind", "flip-triple", "--budget", "1",
                "--map=--"]),
-    ("--report", ["poly", "--tuple", "@t", "--report=--"]),
-    ("--report", ["classify", "--tuple", "@t", "--report=--"]),
-    ("--report", ["member", "--tuple", "@t", "--point=1,1,1",
-                  "--report=--"]),
-    ("--report", ["lattice", "--op", "rank", "--p", "@p", "--report=--"]),
-    ("--report", ["map-apply", "--map", "@m", "--p", "@p", "--report=--"]),
     ("--report", ["verify", "--suite", "pairs", "--trials", "1",
                   "--report=--"]),
     ("--report", ["witness", "--kind", "flip-triple", "--budget", "1",
@@ -515,6 +521,22 @@ def test_bad_point_fails_before_the_pencil(point, tmp_path, capsys):
     assert time.perf_counter() - start < 3
 
 
+def test_oversized_pencil_exits_two_before_the_dp(tmp_path, capsys,
+                                                  monkeypatch):
+    """The first trial of map-preserve at n = 8, k = 10 has ranks 5, 1, 6,
+    7, 5, 5, 6, 4, 3, 7: 3,386,880 digits per packed state."""
+    def refuse(*args):
+        raise AssertionError("the subset DP ran")
+    monkeypatch.setattr(spectrum, "_packed_dp", refuse)
+    unitary = write(tmp_path / "u.json", {
+        "kind": "unitary", "U": matrix_to_json(Matrix.identity(8, K))})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--suite", "map-preserve",
+                                  "--n", "8", "--k", "10", "--map", unitary])
+    assert (code, out) == (2, "") and "too large for the subset DP" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_d_mismatch_is_an_input_error(tmp_path, capsys):
     t = basis_tuple_file(tmp_path)
     code, _, err = run(capsys, ["poly", "--tuple", t, "--d", "3"])
@@ -529,6 +551,44 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     bad.write_text("{nope")
     code, _, err = run(capsys, ["poly", "--tuple", str(bad)])
     assert code == 2 and "not valid JSON" in err
+
+
+def test_long_path_is_quoted_in_every_read_error(tmp_path, capsys):
+    """A path of about 3000 characters is quoted by its last QUOTE_LIMIT
+    characters when the file is missing, is not JSON or nests too deeply."""
+    folder = tmp_path
+    for _ in range(12):
+        folder = folder / ("d" * 250)
+    folder.mkdir(parents=True)
+    (folder / "bad.json").write_text("{nope")
+    (folder / "deep.json").write_text("[" * 200000)
+    for name, says in (("absent.json", "cannot read"),
+                       ("bad.json", "not valid JSON"),
+                       ("deep.json", "nests JSON too deeply")):
+        path = str(folder / name)
+        code, out, err = run(capsys, ["poly", "--tuple", path])
+        assert (code, out) == (2, "") and says in err
+        assert path[-QUOTE_LIMIT:] in err
+        assert "d" * (QUOTE_LIMIT + 1) not in err
+        assert len(err.encode()) < 200
+
+
+def test_report_is_a_flag_of_verify_and_witness_only(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, ["poly", "--tuple", basis_tuple_file(tmp_path),
+                                  "--report", str(report)])
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+    assert not report.exists()
+    parser = build_parser()
+    subs, = (a for a in parser._actions if a.choices)
+    flags = {name: sorted(o for a in sub._actions for o in a.option_strings
+                          if o not in ("-h", "--help"))
+             for name, sub in subs.choices.items()}
+    assert sum(map(len, flags.values())) == 31
+    assert [name for name, f in flags.items() if "--seed" in f] == \
+        [name for name, f in flags.items() if "--report" in f] == \
+        ["verify", "witness"]
+    assert all("--d" in f for f in flags.values())
 
 
 def test_usage_errors_exit_two(capsys):

@@ -185,7 +185,11 @@ def _maps() -> dict:
 
 
 def replay(argv: list, maps: dict, tmp: str) -> dict:
-    """Run one case; returns its exit code, stdout, stderr and report text."""
+    """Run one case; returns its exit code, stdout, stderr and report text.
+
+    A `verify` or `witness` case also passes "--report @report"; the file
+    commands have no --report, and their report is None.
+    """
     paths = {"report": os.path.join(tmp, "report.json")}
     for name, payload in maps.items():
         paths[name] = os.path.join(tmp, f"{name}.json")
@@ -194,7 +198,8 @@ def replay(argv: list, maps: dict, tmp: str) -> dict:
     if os.path.exists(paths["report"]):
         os.remove(paths["report"])
     full = [paths[a[1:]] if a.startswith("@") else a
-            for a in argv + ["--report", "@report"]]
+            for a in argv + (["--report", "@report"]
+                             if argv[0] in ("verify", "witness") else [])]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(full)

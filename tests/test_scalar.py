@@ -6,17 +6,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from jspec.exactla import Matrix, vdot
+from jspec.lattice import rank_one
+from jspec.maps import make_unitary_conj
+from jspec.polyalg import MultiPoly, parse_poly
 from jspec.scalar import (
     ALL_AUTOMORPHISMS,
     Automorphism,
     MAX_D,
     QUOTE_LIMIT,
     FieldContext,
+    FieldElem,
     ParseError,
     _quote_int,
     format_scalar,
     parse_scalar,
 )
+from jspec.spectrum import JointSpectrum
 
 K = FieldContext(2)
 
@@ -141,6 +147,55 @@ def test_quote_int_counts_digits_at_powers_of_ten():
 def test_contexts_do_not_mix():
     with pytest.raises(ValueError):
         FieldContext(2).one + FieldContext(3).one
+
+
+# Every public door through which a scalar argument enters K, as a function
+# of that scalar.  ctx.elem and FieldElem(...) take rational components.
+DOORS = {
+    "ctx.elem": lambda x: K.elem(x),
+    "FieldElem": lambda x: FieldElem(x, 0, 0, 0, K),
+    "Matrix": lambda x: Matrix([[1, x]], K),
+    "Matrix * scalar": lambda x: Matrix.identity(2, K) * x,
+    "rank_one": lambda x: rank_one([1, x], K),
+    "vdot": lambda x: vdot([K.i, 1], [x, 2], K),
+    "matvec": lambda x: Matrix.identity(2, K).matvec([x, 1]),
+    "vector_image": lambda x: make_unitary_conj(
+        Matrix.identity(2, K)).vector_image([x, 1]),
+    "MultiPoly.const": lambda x: MultiPoly.const(2, x, K),
+    "monomial": lambda x: MultiPoly.monomial((1, 2), x, K),
+    "eval": lambda x: parse_poly("c1^2 + r*c2", 2, K).eval([x, 1]),
+    "MultiPoly * scalar": lambda x: parse_poly("c1 + i*c2", 2, K) * x,
+    "zero MultiPoly * scalar": lambda x: MultiPoly.zero(2, K) * x,
+    "member": lambda x: JointSpectrum(1, 1, parse_poly("c1", 1, K)).member(
+        [x]),
+}
+COMPONENT_DOORS = ("ctx.elem", "FieldElem")
+SAME_FIELD = K.elem(1, -2, Fraction(3, 4), 5)
+
+
+@pytest.mark.parametrize("door", DOORS)
+@pytest.mark.parametrize("x", [0, 3, Fraction(-7, 3), SAME_FIELD, 0.0, 0.5,
+                               "1/3", FieldContext(3).sqrt_d],
+                         ids=["zero", "int", "Fraction", "same field",
+                              "float zero", "float", "str", "other field"])
+def test_every_door_takes_the_one_coercion(door, x):
+    """An int or a Fraction gives the value its `ctx.elem` gives, and an
+    element of K passes through; a float or a str is a TypeError, and an
+    element of another field a ValueError.  The component doors take
+    rationals only, so an element, of either field, is a TypeError there;
+    the operators leave a foreign type to Python, which raises one.
+    """
+    enter = DOORS[door]
+    if isinstance(x, (float, str)) or (isinstance(x, FieldElem)
+                                       and door in COMPONENT_DOORS):
+        with pytest.raises(TypeError):
+            enter(x)
+    elif x is not SAME_FIELD and isinstance(x, FieldElem):
+        with pytest.raises(ValueError, match="d=3 in a d=2"):
+            enter(x)
+    else:
+        elem = x if isinstance(x, FieldElem) else K.elem(x)
+        assert enter(x) == (elem if door in COMPONENT_DOORS else enter(elem))
 
 
 def test_arithmetic_at_other_d():

@@ -1,6 +1,7 @@
 """Pencil spectra: construction, membership, classification, zero sets."""
 
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -273,6 +274,43 @@ def test_packed_dp_matches_the_dict_dp_on_gram_forms(drawn):
     packed = spectrum._packed_dp(forms, ranks, d, w)
     assert packed == reference_pencil.dict_dp(forms, d)
     assert all(abs(x) < 1 << (w - 2) for v in packed.values() for x in v)
+
+
+def _refuse_dp(*args):
+    raise AssertionError("the subset DP ran")
+
+
+def test_oversized_pencil_is_refused_before_the_dp(monkeypatch):
+    """Ten members of K^8 with the ranks of the first map-preserve trial
+    at n = 8, k = 10 (seed 1): millions of digits per packed state."""
+    monkeypatch.setattr(spectrum, "_packed_dp", _refuse_dp)
+    rng = random.Random(8)
+    projs = [random_projection(rng, 8, r)
+             for r in (5, 1, 6, 7, 5, 5, 6, 4, 3, 7)]
+    assert spectrum._radices([p.rank for p in projs])[1] == 3386880
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large for the subset DP"):
+        pencil_poly(projs)
+    assert time.perf_counter() - start < 5
+
+
+def test_dp_bound_is_two_to_the_n_times_w_times_digits(monkeypatch):
+    """At MAX_DP_BITS = 2^n w digits the DP is called, one below it not.
+
+    A stub stands in for the DP, which returns no coefficient."""
+    rng = random.Random(9)
+    projs = [random_projection(rng, 4, r) for r in (2, 2, 3)]
+    forms = [p.matrix.scaled[1] for p in projs]
+    bits = 16 * spectrum._slot_width(forms, 2) * 3 * 3
+    calls = []
+    monkeypatch.setattr(spectrum, "_packed_dp",
+                        lambda *args: calls.append(args) or {})
+    monkeypatch.setattr(spectrum, "MAX_DP_BITS", bits)
+    assert pencil_poly(projs).is_full() and len(calls) == 1
+    monkeypatch.setattr(spectrum, "MAX_DP_BITS", bits - 1)
+    with pytest.raises(ValueError, match=f"exceed {bits - 1} bits"):
+        pencil_poly(projs)
+    assert len(calls) == 1
 
 
 def _independent(rng, pool, n, rank, ctx, first=None):
