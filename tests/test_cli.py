@@ -361,10 +361,17 @@ def test_huge_n_fails_fast(capsys):
                "--map=--"]),
     ("--map", ["witness", "--kind", "flip-triple", "--budget", "1",
                "--map=--"]),
-    ("--report", ["verify", "--suite", "pairs", "--trials", "1",
-                  "--report=--"]),
-    ("--report", ["witness", "--kind", "flip-triple", "--budget", "1",
-                  "--report=--"]),
+    ("--report", ["verify", "--report=--", "--suite", "extension",
+                  "--trials", "1"]),
+    ("--report", ["witness", "--report=--", "--kind", "flip-rank-one",
+                  "--n", "3"]),
+    # the ids these two had before poly, classify, member, lattice and
+    # map-apply lost --report
+    pytest.param("--report", ["verify", "--suite", "pairs", "--trials", "1",
+                              "--report=--"], id="--report-argv16"),
+    pytest.param("--report", ["witness", "--kind", "flip-triple",
+                              "--budget", "1", "--report=--"],
+                 id="--report-argv17"),
 ])
 def test_dropped_double_dash_value_is_a_usage_error(option, argv, tmp_path,
                                                     capsys):
