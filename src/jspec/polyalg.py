@@ -10,8 +10,10 @@ polynomials.  When only the main variable occurs, the content is a unit of
 K and is never computed.  The squarefree part follows by dividing out the
 GCD of a polynomial with its partial derivatives.  All division steps are
 exact and checked.  In one variable every leading coefficient, shift and
-divisor of the remainder sequence is a monomial, which `MultiPoly.__mul__`
-and `exact_quotient` take term by term.
+divisor of the remainder sequence is a monomial, most of them constants:
+`MultiPoly.__mul__` takes a monomial factor term by term and a constant
+one with no new exponent vectors, and `exact_quotient` divides by a
+monomial term by term.
 
 Most polynomials whose squarefree part is asked for are already squarefree,
 so `squarefree_part` first tries a certificate: restricted to a fixed line
@@ -33,7 +35,9 @@ from jspec.scalar import (
     Scalarish,
     _Parser,
     _as_elem,
+    _canonical,
     _integral,
+    _sub_mul,
     format_scalar,
     parse_scalar,
 )
@@ -212,6 +216,11 @@ class MultiPoly:
             many, one = (self, other) if len(other.terms) == 1 \
                 else (other, self)
             (e2, c2), = one.terms.items()
+            if not any(e2):
+                # a constant factor keeps every exponent vector
+                return MultiPoly._of(
+                    self.nvars, {e1: c1 * c2 for e1, c1 in many.terms.items()},
+                    self.ctx)
             return MultiPoly._of(
                 self.nvars,
                 {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
@@ -286,7 +295,11 @@ def exact_quotient(divisor: MultiPoly,
 
     Division by a single polynomial leaves a unique remainder, so the first
     leading term the divisor's leading monomial cannot reach settles the
-    question negatively.  A monomial divisor divides term by term.
+    question negatively.  A monomial divisor divides term by term.  Any
+    other divisor runs the long division on a mutable copy of the
+    dividend's term map: each step cancels the remainder's leading term
+    exactly, so that term is dropped, and folds each other divisor term in
+    with one `scalar._sub_mul`, dropping a coefficient that cancels to 0.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -303,15 +316,23 @@ def exact_quotient(divisor: MultiPoly,
                 return None
             quotient[qe] = coef * lead_c_inv
         return MultiPoly._of(dividend.nvars, quotient, dividend.ctx)
-    rem = dividend
+    rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+    zero = dividend.ctx.zero
+    rem = dict(dividend.terms)
     while rem:
-        re, rc = rem.leading_term()
+        re = max(rem, key=_grlex_key)
         qe = tuple(a - b for a, b in zip(re, lead_e))
         if any(x < 0 for x in qe):
             return None
-        qc = rc * lead_c_inv
+        qc = rem.pop(re) * lead_c_inv
         quotient[qe] = qc
-        rem = rem - divisor * MultiPoly.monomial(qe, qc, rem.ctx)
+        for de, dc in rest:
+            expts = tuple(a + b for a, b in zip(de, qe))
+            s = _sub_mul(rem.get(expts, zero), qc, dc)
+            if s:
+                rem[expts] = s
+            else:
+                del rem[expts]
     return MultiPoly._of(dividend.nvars, quotient, dividend.ctx)
 
 
@@ -562,7 +583,9 @@ def _restrict_to_line(p: MultiPoly, a: Expts, b: Expts) -> MultiPoly:
 
     D is the lcm of the denominators of p's coefficients.  Each term
     coef * c^e contributes coef * D times the integer polynomial
-    prod_l (a_l + b_l t)^(e_l), so the expansion runs on plain ints.
+    prod_l (a_l + b_l t)^(e_l), so the expansion runs on plain ints.  Its
+    coefficients lie in Z[i, sqrt d], so each nonzero one is already in
+    canonical form over the denominator 1 and is built as it stands.
     """
     coefs = _integral(list(p.terms.values()))[1]
     # powers[l][e]: the coefficients of (a_l + b_l t)^e, low degree first
@@ -584,7 +607,8 @@ def _restrict_to_line(p: MultiPoly, a: Expts, b: Expts) -> MultiPoly:
                 s[2] += cc * x
                 s[3] += ce * x
     ctx = p.ctx
-    return MultiPoly(1, {(m,): ctx.elem(*s) for m, s in enumerate(sums)}, ctx)
+    return MultiPoly._of(1, {(m,): _canonical(*s, 1, ctx)
+                             for m, s in enumerate(sums) if any(s)}, ctx)
 
 
 def _int_poly_mul(f: list[int], g: list[int]) -> list[int]:

@@ -81,7 +81,10 @@ def default_entry_pool(ctx: FieldContext) -> tuple[FieldElem, ...]:
 # whose ranks add up to at most n + 1 (n or n + 1 rank-one lines) skips
 # the DP for a closed form: a few thousandths of a second for 10 lines on
 # K^10 or on K^9 (`BENCH_20.json`).
-# Trials and witness budgets cost linear time and stay unbounded.
+# Trials and witness budgets cost linear time and stay unbounded, and so
+# does a squarefree part that the certificate cannot settle: the first
+# structured candidate of `witness --kind flip-triple` at n = 12, k = 10
+# runs the multivariate GCDs on a 10-variable pencil past 90 s.
 MAX_N = 12
 MAX_K = 10
 

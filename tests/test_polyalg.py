@@ -134,7 +134,10 @@ def test_derived_polynomials_equal_checked_ones():
     for _ in range(60):
         p, q = random_poly(rng), random_poly(rng)
         results = [p + q, p + (-p), -p, p - q, p * K.i, p * 3,
-                   p * Fraction(-1, 2), p * q, p * MultiPoly.zero(3, K)]
+                   p * Fraction(-1, 2), p * q, p * MultiPoly.zero(3, K),
+                   p * const(1 + K.i), const(Fraction(-1, 2)) * p]
+        assert results[-2] == p * (1 + K.i)
+        assert results[-1] == p * Fraction(-1, 2)
         results += [p.partial_derivative(j) for j in range(3)]
         results += [polyalg._to_univar(p * q, j)[e]
                     for j in range(3) for e in range((p * q).degree_in(j) + 1)]
@@ -156,6 +159,11 @@ def test_divides_fixed():
     assert exact_quotient(c1, c2) is None
     assert not divides(c1, c2)
     assert divides(c1 + c2, c1 ** 2 - c2 ** 2)
+    # the second step cancels c2^2 while c1*c3 and c2*c3 remain
+    product = (c1 + c2) * (c1 - c2 + c(2))
+    assert exact_quotient(c1 + c2, product) == c1 - c2 + c(2)
+    # three steps succeed before c3^2, which c1 does not divide, leads
+    assert exact_quotient(c1 + c2, product + c(2) ** 2) is None
     with pytest.raises(ZeroDivisionError):
         exact_quotient(MultiPoly.zero(3, K), c1)
 
